@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .codes import Code, code_to_obj, format_code, mask_members, parse_code
+from .codes import Code, _display_key, code_to_obj, format_code, mask_members, parse_code
 from .constructions import (coproduct, is_intersection_complete,
                             is_max_intersection_complete, product)
 from .enumeration import (DEFAULT_TRUNK_CAP, default_cache_dir,
@@ -88,7 +88,7 @@ def _fmt_word(members) -> str:
 
 
 def _fmt_masks(masks) -> str:
-    words = sorted(masks, key=lambda m: (-m.bit_count(), mask_members(m)))
+    words = sorted(masks, key=_display_key)
     return "{" + ",".join(_fmt_word(mask_members(m)) for m in words) + "}"
 
 

@@ -51,6 +51,11 @@ def _word_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (mask.bit_count(), mask_members(mask))
 
 
+def _display_key(mask: int) -> tuple[int, tuple[int, ...]]:
+    # Display order: largest codewords first, lexicographic within a size.
+    return (-mask.bit_count(), mask_members(mask))
+
+
 class Code:
     """A finite set of codewords over the neuron set {1, ..., n}.
 
@@ -218,8 +223,7 @@ def parse_code(text: str) -> Code:
 
 
 def _display_masks(code: Code) -> list[int]:
-    # Display order: largest codewords first, lexicographic within a size.
-    return sorted(code.masks, key=lambda m: (-m.bit_count(), mask_members(m)))
+    return sorted(code.masks, key=_display_key)
 
 
 def _needs_prefix(code: Code) -> bool:

@@ -8,7 +8,7 @@ so the images stay disjoint, with an option to adjoin the empty word.
 from __future__ import annotations
 
 from .codes import Code
-from .trunks import Trunk, _trunk_family_masksets
+from .trunks import _intersection_closure, _trunk_family_masksets
 
 
 def _shift(mask: int, by: int) -> int:
@@ -51,35 +51,13 @@ def is_intersection_complete(code: Code) -> bool:
 
 def all_trunks_have_unique_minimum(code: Code) -> bool:
     """Trunk-side formulation of intersection completeness: every nonempty
-    trunk has a unique minimal member (its generator is then a codeword)."""
-    for members in _trunk_family_masksets(code):
-        if not members:
-            continue
-        gen = Trunk(members).generator_mask
-        minimal = [m for m in members
-                   if not any(o != m and o & m == o for o in members)]
-        if len(minimal) != 1 or minimal[0] != gen:
-            return False
-    return True
+    trunk has a unique minimal member.  The generator of a trunk lies inside
+    every member, so that member exists iff the generator is a codeword."""
+    return _trunk_family_masksets(code).keys() <= code.mask_set
 
 
 def is_max_intersection_complete(code: Code) -> bool:
-    """Contains every intersection of a nonempty set of maximal codewords.
-
-    Computed as the pairwise-intersection closure of the maximal words, which
-    equals the full set of nonempty-subset intersections.
-    """
+    """Contains every intersection of a nonempty set of maximal codewords."""
     masks = code.mask_set
     maximal = [m for m in masks if not any(o != m and o & m == m for o in masks)]
-    closure = set(maximal)
-    frontier = list(maximal)
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for y in closure.copy():
-                z = x & y
-                if z not in closure:
-                    closure.add(z)
-                    fresh.append(z)
-        frontier = fresh
-    return closure <= masks
+    return _intersection_closure(maximal) <= masks

@@ -19,16 +19,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .codes import Code, code_to_obj, format_code, parse_code
+from .codes import Code, code_to_obj, format_code, mask_members, parse_code
 from .exceptions import ResourceCapError
 from .morphisms import Morphism
 from .reduction import CanonicalForm, _min_relabeling, canonical_form
-from .trunks import Trunk
+from .trunks import Trunk, _index_members, _trunk_family_masksets
 
 DEFAULT_TRUNK_CAP = 24
 
@@ -69,34 +70,14 @@ def _index_pool(code: Code, max_trunks: int):
     empty trunk included).
     """
     words = code.masks
-    w = len(words)
-    full = (1 << w) - 1
-    family = {full} if w else set()
-    for i in range(1, code.n + 1):
-        bit = 1 << (i - 1)
-        t = 0
-        for k, mask in enumerate(words):
-            if mask & bit:
-                t |= 1 << k
-        if t:
-            family.add(t)
-    frontier = list(family)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in family:
-                x = a & b
-                if x and x not in family and x not in fresh:
-                    fresh.append(x)
-        family.update(fresh)
-        frontier = fresh
-    total = len(family) + (0 if 0 in family else 1)  # the empty trunk counts
+    family = _trunk_family_masksets(code).values()
+    total = len(family) + 1  # the empty trunk counts
     if max_trunks is not None and total > max_trunks:
         raise ResourceCapError(
             f"code has {total} trunks, over the cap of {max_trunks}; raise "
             "max_trunks to enumerate anyway")
-    pool = sorted((t for t in family if t != full and t != 0),
-                  key=lambda t: (-t.bit_count(), t))
+    full = (1 << len(words)) - 1
+    pool = sorted((t for t in family if t != full), key=lambda t: (-t.bit_count(), t))
     return words, pool
 
 
@@ -135,43 +116,42 @@ def _canonical_of_reduced_masks(m: int, masks: frozenset[int],
     hit = cache.get((m, masks))
     if hit is not None:
         return hit
-    member_tuples = []
-    for mask in masks:
-        members = []
-        x, i = mask, 1
-        while x:
-            if x & 1:
-                members.append(i)
-            x >>= 1
-            i += 1
-        member_tuples.append(tuple(members))
-    key, _ = _min_relabeling(member_tuples, m)
+    key, _ = _min_relabeling([mask_members(mask) for mask in masks], m)
     canon = Code(m, [members for _, members in key])
     cache[(m, masks)] = canon
     return canon
 
 
 def _walk(words_count: int, pool: list[int], chosen: list[int], start: int,
-          found: dict, canon_cache: dict, counters: list[int]):
+          canon_cache: dict, counters: list[int]):
+    """Yield (chosen, canonical image) for chosen and each irredundant
+    extension of it by trunks from pool[start:], depth first in pool order.
+
+    chosen is extended in place, so a consumer must copy it to keep it.
+    counters[0] counts the nodes yielded, counters[1] the rejected extensions.
+    """
     sig = _image_signature(words_count, chosen)
-    canon = _canonical_of_reduced_masks(len(chosen), sig, canon_cache)
-    found.setdefault(_code_key(canon), canon)
+    yield chosen, _canonical_of_reduced_masks(len(chosen), sig, canon_cache)
     counters[0] += 1
     for i in range(start, len(pool)):
         if _stays_irredundant(chosen, pool[i]):
             chosen.append(pool[i])
-            _walk(words_count, pool, chosen, i + 1, found, canon_cache, counters)
+            yield from _walk(words_count, pool, chosen, i + 1, canon_cache, counters)
             chosen.pop()
         else:
             counters[1] += 1
 
 
+def _collect(nodes, found: dict) -> None:
+    for _, canon in nodes:
+        found.setdefault(_code_key(canon), canon)
+
+
 def _subtree_job(args):
     words_count, pool, first = args
     found: dict = {}
-    canon_cache: dict = {}
     counters = [0, 0]
-    _walk(words_count, pool, [pool[first]], first + 1, found, canon_cache, counters)
+    _collect(_walk(words_count, pool, [pool[first]], first + 1, {}, counters), found)
     return counters[0], counters[1], [(c.n, c.masks) for c in found.values()]
 
 
@@ -185,17 +165,13 @@ def enumerate_reduced_images(code: Code, *, jobs: int = 1,
     t0 = time.monotonic()
     words, pool = _index_pool(code, max_trunks)
     found: dict = {}
-    canon_cache: dict = {}
     counters = [0, 0]
     w = len(words)
     if jobs <= 1 or len(pool) < 2:
-        _walk(w, pool, [], 0, found, canon_cache, counters)
+        _collect(_walk(w, pool, [], 0, {}, counters), found)
     else:
-        # The root (empty subset) runs here; first-element subtrees fan out.
-        root_sig = _image_signature(w, [])
-        root = _canonical_of_reduced_masks(0, root_sig, canon_cache)
-        found[_code_key(root)] = root
-        counters[0] += 1
+        # The root (empty subset) alone runs here; first-trunk subtrees fan out.
+        _collect(_walk(w, pool, [], len(pool), {}, counters), found)
         tasks = [(w, pool, i) for i in range(len(pool))]
         with ProcessPoolExecutor(max_workers=jobs) as pex:
             for explored, pruned, codes in pex.map(_subtree_job, tasks):
@@ -216,31 +192,10 @@ def verify_image_membership(source: Code, target: Code,
     enumeration order."""
     target_key = _code_key(canonical_form(target).code)
     words, pool = _index_pool(source, max_trunks)
-    w = len(words)
-    canon_cache: dict = {}
-
-    def build(chosen: list[int]) -> Morphism:
-        trunks = []
-        for t in chosen:
-            members = frozenset(words[k] for k in range(w) if t & (1 << k))
-            trunks.append(Trunk(members))
-        return Morphism(source, tuple(trunks))
-
-    def walk(chosen: list[int], start: int) -> Morphism | None:
-        sig = _image_signature(w, chosen)
-        canon = _canonical_of_reduced_masks(len(chosen), sig, canon_cache)
+    for chosen, canon in _walk(len(words), pool, [], 0, {}, [0, 0]):
         if _code_key(canon) == target_key:
-            return build(chosen)
-        for i in range(start, len(pool)):
-            if _stays_irredundant(chosen, pool[i]):
-                chosen.append(pool[i])
-                hit = walk(chosen, i + 1)
-                if hit is not None:
-                    return hit
-                chosen.pop()
-        return None
-
-    return walk([], 0)
+            return Morphism(source, tuple(Trunk(_index_members(words, t)) for t in chosen))
+    return None
 
 
 def image_set_difference(target: Code, baselines: list[Code], *, jobs: int = 1,
@@ -297,13 +252,20 @@ def cached_enumerate(code: Code, cache_dir: Path | str, *, jobs: int = 1,
     if path.exists():
         try:
             return image_set_from_obj(json.loads(path.read_text()))
-        except (ValueError, KeyError):
-            pass  # unreadable entry; recompute and overwrite
+        except (ValueError, KeyError, TypeError):
+            pass  # unreadable or malformed entry; recompute and overwrite
     result = enumerate_reduced_images(code, jobs=jobs, max_trunks=max_trunks)
     cdir.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(image_set_to_obj(result)))
-    tmp.replace(path)
+    # A temporary file of its own per writer, so concurrent runs never
+    # interleave their bytes; os.replace publishes it whole.
+    fd, tmp = tempfile.mkstemp(prefix=f"{path.stem}.", suffix=".tmp", dir=cdir)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(image_set_to_obj(result)))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return result
 
 

@@ -14,7 +14,7 @@ import json
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
-from .codes import Code, code_to_obj, mask_members, parse_code, word_mask
+from .codes import Code, _word_key, code_to_obj, mask_members, parse_code, word_mask
 from .trunks import Trunk, is_trunk, trunk_of
 
 
@@ -83,8 +83,7 @@ class ExplicitMap:
                 raise ValueError(
                     f"image of {set(mask_members(src))} is {set(mask_members(dst))}, "
                     "not a codomain word")
-        pairs = tuple(sorted(mapping.items(),
-                             key=lambda p: (p[0].bit_count(), mask_members(p[0]))))
+        pairs = tuple(sorted(mapping.items(), key=lambda p: _word_key(p[0])))
         return cls(domain, codomain, pairs)
 
     @classmethod

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .codes import Code, mask_members, word_mask
+from .codes import Code, _display_key, _word_key, mask_members, word_mask
 from .exceptions import ResourceCapError
 
 DEFAULT_FACE_CAP = 1 << 20
@@ -45,7 +45,7 @@ class SimplicialComplex:
 
     @property
     def facet_words(self) -> tuple[frozenset[int], ...]:
-        ordered = sorted(self.facets, key=lambda m: (-m.bit_count(), mask_members(m)))
+        ordered = sorted(self.facets, key=_display_key)
         return tuple(frozenset(mask_members(m)) for m in ordered)
 
     def face_masks(self, cap: int = DEFAULT_FACE_CAP) -> frozenset[int]:
@@ -107,7 +107,7 @@ def _free_pairs(faces: frozenset[int]) -> list[tuple[int, int]]:
         over = [f for f in faces if f != tau and f & tau == tau]
         if len(over) == 1:
             out.append((tau, over[0]))
-    out.sort(key=lambda p: (p[0].bit_count(), mask_members(p[0])))
+    out.sort(key=lambda p: _word_key(p[0]))
     return out
 
 
@@ -222,8 +222,7 @@ def local_obstruction_report(code: Code, cap: int = DEFAULT_FACE_CAP) -> Obstruc
     great.
     """
     k = simplicial_complex(code)
-    missing = sorted(k.face_masks(cap) - code.mask_set,
-                     key=lambda m: (m.bit_count(), mask_members(m)))
+    missing = sorted(k.face_masks(cap) - code.mask_set, key=_word_key)
     entries = []
     for smask in missing:
         lk = link(k, smask)

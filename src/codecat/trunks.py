@@ -3,7 +3,9 @@
 Trunks are the structure morphisms must preserve under preimage.  The family
 of all trunks of a code is closed under intersection and is generated by the
 simple trunks Tk(i) together with the whole code Tk(empty); the empty set is a
-trunk of every code.
+trunk of every code.  A nonempty trunk is determined by its generator, the
+intersection of its members, so the family is built from the intersection
+closure of the codewords.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .codes import Code, mask_members, word_mask
+from .codes import Code, _display_key, _word_key, mask_members, word_mask
 
 
 @dataclass(frozen=True)
@@ -54,15 +56,14 @@ class Trunk:
         return mask in self.member_masks
 
     def sort_key(self):
-        return (len(self.member_masks),
-                sorted((m.bit_count(), mask_members(m)) for m in self.member_masks))
+        return (len(self.member_masks), sorted(map(_word_key, self.member_masks)))
 
     def __repr__(self) -> str:
         if not self.member_masks:
             return "Trunk(empty)"
         members = ",".join(
             "".join(map(str, mask_members(m))) or "0"
-            for m in sorted(self.member_masks, key=lambda m: (-m.bit_count(), mask_members(m)))
+            for m in sorted(self.member_masks, key=_display_key)
         )
         gen = "".join(map(str, mask_members(self.generator_mask))) or "{}"
         return f"Trunk(Tk({gen}) = {{{members}}})"
@@ -78,9 +79,7 @@ def _intersect_all(masks: Iterable[int]) -> int:
 
 def trunk_to_obj(trunk: Trunk) -> dict:
     gen = None if trunk.generator_mask is None else list(mask_members(trunk.generator_mask))
-    members = [list(mask_members(m))
-               for m in sorted(trunk.member_masks,
-                               key=lambda m: (-m.bit_count(), mask_members(m)))]
+    members = [list(mask_members(m)) for m in sorted(trunk.member_masks, key=_display_key)]
     return {"generator": gen, "members": members}
 
 
@@ -100,35 +99,45 @@ def simple_trunks(code: Code) -> list[tuple[int, Trunk]]:
     return [(i, trunk_of(code, 1 << (i - 1))) for i in range(1, code.n + 1)]
 
 
-def _trunk_family_masksets(code: Code) -> set[frozenset[int]]:
-    """All distinct trunks as member-mask sets: intersection closure of the
-    simple trunks and the whole code, plus the empty trunk."""
-    family: set[frozenset[int]] = {code.mask_set}
-    for i in range(1, code.n + 1):
-        bit = 1 << (i - 1)
-        t = frozenset(m for m in code.mask_set if m & bit)
-        if t:
-            family.add(t)
-    frontier = list(family)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in family:
-                x = a & b
-                if x and x not in family and x not in fresh:
-                    fresh.append(x)
-        for x in fresh:
-            family.add(x)
-        frontier = fresh
-    family.add(frozenset())
-    return family
+def _intersection_closure(masks: Iterable[int]) -> set[int]:
+    """Every intersection of a nonempty subset of masks.
+
+    After each word the set holds the intersections of the nonempty subsets
+    of the words seen so far, so one pass costs O(|closure| * |masks|).
+    """
+    closed: set[int] = set()
+    for w in masks:
+        closed |= {g & w for g in closed}
+        closed.add(w)
+    return closed
+
+
+def _trunk_family_masksets(code: Code) -> dict[int, int]:
+    """The trunk lattice: every nonempty trunk, as {generator mask:
+    Tk(generator)} with the trunk's member set a bitmask of indices into
+    code.masks.
+
+    The generator of a nonempty trunk is the intersection of its members, and
+    every intersection of codewords generates its own trunk, so the
+    generators are exactly the intersection closure of the codewords (the
+    concept intents of formal concept analysis).
+    """
+    words = code.masks
+    return {g: sum(1 << k for k, w in enumerate(words) if w & g == g)
+            for g in _intersection_closure(words)}
+
+
+def _index_members(words: tuple[int, ...], t: int) -> frozenset[int]:
+    """The word masks named by a bitmask t of indices into words."""
+    return frozenset(w for k, w in enumerate(words) if t >> k & 1)
 
 
 def all_trunks(code: Code) -> list[Trunk]:
     """Every distinct trunk of the code, the whole code and the empty trunk
     included, in a deterministic (size, member list) order."""
-    fam = _trunk_family_masksets(code)
-    out = [Trunk(ms) if ms else Trunk(frozenset()) for ms in fam]
+    out = [Trunk(_index_members(code.masks, t), g)
+           for g, t in _trunk_family_masksets(code).items()]
+    out.append(Trunk(frozenset()))
     out.sort(key=Trunk.sort_key)
     return out
 
@@ -155,20 +164,20 @@ def irreducible_trunks(code: Code) -> list[Trunk]:
     """Nonempty proper trunks that are not intersections of strictly larger
     trunks, ordered by generator (lexicographic on sorted members).
 
-    The trunk family is intersection-closed, so meet-irreducibility (the
-    intersection of all strict supersets in the family is strictly larger)
-    is the right test.
+    Larger trunks have smaller generators, and Tk(a) & Tk(b) = Tk(a | b).  So
+    Tk(g) is the intersection of its strict supersets iff the union u of the
+    generators strictly inside g has Tk(u) = Tk(g).  The generator of Tk(u)
+    lies between u and g; unless it is g it is a generator strictly inside g,
+    hence u itself.  So Tk(g) is irreducible iff u is a generator other than g.
     """
-    fam = _trunk_family_masksets(code)
+    lattice = _trunk_family_masksets(code)
     out = []
-    for t in fam:
-        if not t or t == code.mask_set:
-            continue
-        supersets = [s for s in fam if s > t]
-        acc = code.mask_set
-        for s in supersets:
-            acc &= s
-        if acc != t:
-            out.append(Trunk(t))
+    for g, t in lattice.items():
+        u = 0
+        for h in lattice:
+            if h != g and h & g == h:
+                u |= h
+        if u != g and u in lattice:
+            out.append(Trunk(_index_members(code.masks, t), g))
     out.sort(key=lambda tr: mask_members(tr.generator_mask))
     return out

@@ -23,6 +23,21 @@ def random_codes(count: int, seed: int, n: int, max_words: int, **kw):
     return [random_code(rng, n, max_words, **kw) for _ in range(count)]
 
 
+def edge_codes() -> list[Code]:
+    """Zero-word codes, the lone empty word, and the power sets n = 1..6."""
+    return ([Code(0, []), Code(3, []), Code(0, [[]])]
+            + [Code(n, range(1 << n)) for n in range(1, 7)])
+
+
+def brute_trunk_family(code: Code) -> set[frozenset[int]]:
+    """Every distinct Tk(sigma) over all 2^n sigma, by direct sweep.
+    Reference for all_trunks, which builds the family by closure instead."""
+    out = set()
+    for sigma in range(1 << code.n):
+        out.add(frozenset(m for m in code.mask_set if m & sigma == sigma))
+    return out
+
+
 def intersection_closure(code: Code) -> Code:
     masks = set(code.mask_set)
     frontier = True

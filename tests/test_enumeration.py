@@ -166,10 +166,12 @@ def test_cache_roundtrip(tmp_path):
 def test_cache_recovers_from_corruption(tmp_path):
     cached_enumerate(C5, tmp_path)
     (path,) = tmp_path.glob("images-*.json")
-    path.write_text("{ not json")
-    again = cached_enumerate(C5, tmp_path)
-    assert again.images == enumerate_reduced_images(C5).images
-    assert json.loads(path.read_text())  # rewritten cleanly
+    for entry in ["{ not json", "[1,2]", "null", '"text"', "7"]:
+        path.write_text(entry)
+        again = cached_enumerate(C5, tmp_path)
+        assert again.images == enumerate_reduced_images(C5).images
+        assert json.loads(path.read_text())  # rewritten cleanly
+        assert list(tmp_path.iterdir()) == [path]  # no temporary file left
 
 
 def test_difference_uses_cache_dir(tmp_path):
@@ -178,3 +180,15 @@ def test_difference_uses_cache_dir(tmp_path):
     assert len(list(tmp_path.glob("images-*.json"))) == 2
     again = image_set_difference(d5, [C5], cache_dir=tmp_path)
     assert diff == again
+
+
+def test_df_census_walk_pinned_serial_and_pooled():
+    # the walk itself, not only its image count: the process pool must visit
+    # and prune exactly what the serial walk does
+    df = parse_code("{2345,234,345,123,134,145,13,14,23,34,45,3,4,0}")
+    serial = enumerate_reduced_images(df)
+    pooled = enumerate_reduced_images(df, jobs=2)
+    for out in (serial, pooled):
+        assert len(out.images) == 721
+        assert (out.stats.explored, out.stats.pruned) == (3305, 2071)
+    assert pooled.images == serial.images

@@ -6,20 +6,11 @@ import pytest
 from codecat import (Code, Trunk, all_trunks, irreducible_trunks, is_trunk,
                      parse_code, simple_trunks, trunk_of)
 
-from helpers import random_codes
+from helpers import brute_trunk_family, edge_codes, random_codes
 
 
 C5 = parse_code("{12,23,1,3,0}")
 D5 = parse_code("{12,34,1,3,0}")
-
-
-def brute_trunk_family(code):
-    """Every distinct Tk(sigma) over all 2^n sigma, by direct sweep.
-    Reference for all_trunks, which builds the family by closure instead."""
-    out = set()
-    for sigma in range(1 << code.n):
-        out.add(frozenset(m for m in code.mask_set if m & sigma == sigma))
-    return out
 
 
 def test_trunk_of_basic():
@@ -69,7 +60,7 @@ def test_all_trunks_counts_on_reference_codes():
 
 def test_all_trunks_matches_direct_sweep():
     # the closure construction must produce exactly the sigma-sweep family
-    for code in [C5, D5] + random_codes(60, 23, n=5, max_words=8):
+    for code in [C5, D5] + random_codes(60, 23, n=5, max_words=8) + edge_codes():
         family = {t.member_masks for t in all_trunks(code)}
         assert family == brute_trunk_family(code) | {frozenset()}
 
