@@ -25,13 +25,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .codes import Code, code_to_obj, format_code, mask_members, parse_code
+from .codes import Code, code_to_obj, format_code, parse_code
 from .exceptions import ResourceCapError
 from .morphisms import Morphism
 from .reduction import CanonicalForm, _min_relabeling, canonical_form
 from .trunks import Trunk, _index_members, _trunk_family_masksets
 
 DEFAULT_TRUNK_CAP = 24
+# Part of every cache file's name: a new format or canonical engine gets a
+# new version, so entries of an older one are never read.
+_CACHE_FORMAT = "codecat-images-2"
 
 
 @dataclass(frozen=True)
@@ -114,36 +117,34 @@ def _canonical_of_reduced_masks(m: int, masks: frozenset[int],
                                 cache: dict) -> Code:
     """Canonical form of an already-reduced code given by masks on 1..m."""
     hit = cache.get((m, masks))
-    if hit is not None:
-        return hit
-    key, _ = _min_relabeling([mask_members(mask) for mask in masks], m)
-    canon = Code(m, [members for _, members in key])
-    cache[(m, masks)] = canon
-    return canon
+    if hit is None:
+        hit = cache[(m, masks)] = Code(m, _min_relabeling(masks, m)[0])
+    return hit
 
 
-def _walk(words_count: int, pool: list[int], chosen: list[int], start: int,
-          canon_cache: dict, counters: list[int]):
-    """Yield (chosen, canonical image) for chosen and each irredundant
-    extension of it by trunks from pool[start:], depth first in pool order.
+def _walk(pool: list[int], chosen: list[int], start: int, counters: list[int]):
+    """Yield chosen and each irredundant extension of it by trunks from
+    pool[start:], depth first in pool order.
 
     chosen is extended in place, so a consumer must copy it to keep it.
     counters[0] counts the nodes yielded, counters[1] the rejected extensions.
     """
-    sig = _image_signature(words_count, chosen)
-    yield chosen, _canonical_of_reduced_masks(len(chosen), sig, canon_cache)
+    yield chosen
     counters[0] += 1
     for i in range(start, len(pool)):
         if _stays_irredundant(chosen, pool[i]):
             chosen.append(pool[i])
-            yield from _walk(words_count, pool, chosen, i + 1, canon_cache, counters)
+            yield from _walk(pool, chosen, i + 1, counters)
             chosen.pop()
         else:
             counters[1] += 1
 
 
-def _collect(nodes, found: dict) -> None:
-    for _, canon in nodes:
+def _collect(words_count: int, nodes, found: dict) -> None:
+    cache: dict = {}
+    for chosen in nodes:
+        sig = _image_signature(words_count, chosen)
+        canon = _canonical_of_reduced_masks(len(chosen), sig, cache)
         found.setdefault(_code_key(canon), canon)
 
 
@@ -151,7 +152,7 @@ def _subtree_job(args):
     words_count, pool, first = args
     found: dict = {}
     counters = [0, 0]
-    _collect(_walk(words_count, pool, [pool[first]], first + 1, {}, counters), found)
+    _collect(words_count, _walk(pool, [pool[first]], first + 1, counters), found)
     return counters[0], counters[1], [(c.n, c.masks) for c in found.values()]
 
 
@@ -168,10 +169,10 @@ def enumerate_reduced_images(code: Code, *, jobs: int = 1,
     counters = [0, 0]
     w = len(words)
     if jobs <= 1 or len(pool) < 2:
-        _collect(_walk(w, pool, [], 0, {}, counters), found)
+        _collect(w, _walk(pool, [], 0, counters), found)
     else:
         # The root (empty subset) alone runs here; first-trunk subtrees fan out.
-        _collect(_walk(w, pool, [], len(pool), {}, counters), found)
+        _collect(w, _walk(pool, [], len(pool), counters), found)
         tasks = [(w, pool, i) for i in range(len(pool))]
         with ProcessPoolExecutor(max_workers=jobs) as pex:
             for explored, pruned, codes in pex.map(_subtree_job, tasks):
@@ -189,12 +190,17 @@ def verify_image_membership(source: Code, target: Code,
                             max_trunks: int | None = DEFAULT_TRUNK_CAP) -> Morphism | None:
     """A morphism out of source whose image is isomorphic to target, if one
     exists; None otherwise.  The witness is the first hit in the fixed
-    enumeration order."""
-    target_key = _code_key(canonical_form(target).code)
+    enumeration order.  Irredundant k trunks give a reduced image on k
+    neurons, so only nodes with as many trunks as the reduced target has
+    neurons are canonicalised."""
+    target = canonical_form(target).code
     words, pool = _index_pool(source, max_trunks)
-    for chosen, canon in _walk(len(words), pool, [], 0, {}, [0, 0]):
-        if _code_key(canon) == target_key:
-            return Morphism(source, tuple(Trunk(_index_members(words, t)) for t in chosen))
+    cache: dict = {}
+    for chosen in _walk(pool, [], 0, [0, 0]):
+        if len(chosen) == target.n:
+            sig = _image_signature(len(words), chosen)
+            if _canonical_of_reduced_masks(target.n, sig, cache) == target:
+                return Morphism(source, tuple(Trunk(_index_members(words, t)) for t in chosen))
     return None
 
 
@@ -246,12 +252,18 @@ def cached_enumerate(code: Code, cache_dir: Path | str, *, jobs: int = 1,
     """enumerate_reduced_images backed by a directory of JSON results keyed
     by the canonical form of the source, so isomorphic inputs share work."""
     cdir = Path(cache_dir)
-    key = format_code(canonical_form(code).code, "json")
+    source = canonical_form(code)
+    key = f"{_CACHE_FORMAT}\n{format_code(source.code, 'json')}"
     digest = hashlib.sha256(key.encode()).hexdigest()[:32]
     path = cdir / f"images-{digest}.json"
     if path.exists():
         try:
-            return image_set_from_obj(json.loads(path.read_text()))
+            hit = image_set_from_obj(json.loads(path.read_text()))
+            # A census always holds its own source; anything else is another
+            # code's entry or a damaged one.  The stored witness belongs to
+            # whichever presentation wrote the entry, so this input's is kept.
+            if hit.source.code == source.code and source.code in hit.images:
+                return ImageSet(source, hit.images, hit.stats)
         except (ValueError, KeyError, TypeError):
             pass  # unreadable or malformed entry; recompute and overwrite
     result = enumerate_reduced_images(code, jobs=jobs, max_trunks=max_trunks)

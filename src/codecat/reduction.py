@@ -15,7 +15,7 @@ equal codes.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from .codes import Code, mask_members
@@ -101,109 +101,91 @@ class CanonicalForm:
     witness: tuple[int, ...]
 
 
-def _relabel_words(words, perm: dict[int, int]):
-    return sorted((len(w), tuple(sorted(perm[i] for i in w))) for w in words)
+def _min_relabeling(masks: Collection[int], n: int):
+    """Lexicographically least relabeling of a code on neurons 1..n, given by
+    its word masks.
 
-
-def _interchangeable(word_sets, a: int, b: int) -> bool:
-    """Does swapping neurons a and b fix the code?  (An automorphism check:
-    such candidates generate mirror-image search subtrees.)"""
-    swapped = set()
-    for w in word_sets:
-        swapped.add(frozenset(b if i == a else a if i == b else i for i in w))
-    return swapped == set(word_sets)
-
-
-def _min_relabeling(member_tuples: Sequence[tuple[int, ...]], n: int):
-    """Lexicographically least relabeling of a code on neurons 1..n.
-
-    Returns (sorted canonical word list, perm) where perm[i-1] is the new
-    label of neuron i.  Branch and bound over which old neuron gets each new
-    label in turn.  A branch is cut only when the partial word list already
+    Returns (canonical word masks, perm) where perm[i-1] is the new label of
+    neuron i.  Branch and bound over which old neuron gets each new label in
+    turn.  Each word is one integer order key: label q is bit n-q of the
+    word's rank, so (size << n) | (full ^ rank) sorts exactly like (size,
+    sorted labels padded with an infinite label); a label not yet given is a
+    missing bit.  A branch is cut only when the partial word list already
     beats or loses to the incumbent on a fully-determined prefix; comparing
     sorted projections alone is not sound because list slots that tie on the
     assigned labels can still flip on the unassigned ones.
     """
-    words = [frozenset(w) for w in member_tuples]
-    lens = [len(w) for w in member_tuples]
-    inf = n + 1
+    full = (1 << n) - 1
+    keys = [(m.bit_count() << n) | full for m in masks]
+    holders = [[w for w, m in enumerate(masks) if m >> o & 1] for o in range(n)]
+    mask_set = frozenset(masks)
+    label = [0] * n  # label[o] is the new label of neuron o+1; 0 while unset
+    best_key: list[int] | None = None
+    best_perm: tuple[int, ...] = ()
 
-    if n == 0:
-        return sorted((l, ()) for l in lens), ()
+    def give(o: int, bit: int) -> None:
+        for w in holders[o]:
+            keys[w] ^= bit
 
-    assigned: dict[int, int] = {}
-    best_key: list | None = None
-    best_perm: dict[int, int] | None = None
+    def mirrored(a: int, b: int) -> bool:
+        # Does swapping neurons a and b fix the code?  (An automorphism check:
+        # such candidates generate mirror-image search subtrees.)
+        ab = (1 << a) | (1 << b)
+        return all((m ^ ab if (m >> a ^ m >> b) & 1 else m) in mask_set
+                   for m in masks)
 
-    def signature() -> list[tuple[int, tuple[int, ...]]]:
-        sig = []
-        for w, l in zip(words, lens):
-            lab = sorted(assigned[o] for o in w if o in assigned)
-            sig.append((l, tuple(lab) + (inf,) * (l - len(lab))))
-        sig.sort()
-        return sig
-
-    def project_best(q: int) -> list[tuple[int, tuple[int, ...]]]:
-        out = []
-        for l, mem in best_key:
-            lab = tuple(x for x in mem if x <= q)
-            out.append((l, lab + (inf,) * (l - len(lab))))
-        out.sort()
-        return out
-
-    def provably_worse(sig, proj) -> bool:
+    def provably_worse(sig: list[int], low: int) -> bool:
         # True only when every completion of the current assignment compares
-        # greater than the incumbent.
-        for s, b in zip(sig, proj):
+        # greater than the incumbent, whose labels above the current depth
+        # are masked off by low.
+        for s, b in zip(sig, best_key):
+            b |= low
             if s == b:
-                if inf in s[1]:
+                if n - (s & full).bit_count() != s >> n:
                     return False  # equal but undetermined; later slots unprovable
                 continue
             return s > b
         return False
 
-    def rec(q: int):
+    def rec(q: int, sig: list[int]):
         nonlocal best_key, best_perm
         if q == n:
-            key = signature()
-            if best_key is None or key < best_key:
-                best_key = key
-                best_perm = dict(assigned)
+            if best_key is None or sig < best_key:
+                best_key, best_perm = sig, tuple(label)
             return
+        bit = 1 << (n - q - 1)  # label q+1
         cands = []
-        for o in range(1, n + 1):
-            if o in assigned:
-                continue
-            assigned[o] = q + 1
-            sig = signature()
-            del assigned[o]
-            cands.append((sig, o))
+        for o in range(n):
+            if not label[o]:
+                give(o, bit)
+                cands.append((sorted(keys), o))
+                give(o, bit)
         cands.sort()
-        kept: list[tuple[list, int]] = []
+        kept: list[tuple[list[int], int]] = []
         for sig, o in cands:
-            if any(sig == ksig and _interchangeable(words, ko, o)
-                   for ksig, ko in kept):
+            if any(sig == ksig and mirrored(ko, o) for ksig, ko in kept):
                 continue
             kept.append((sig, o))
         for sig, o in kept:
-            if best_key is not None and provably_worse(sig, project_best(q + 1)):
+            if best_key is not None and provably_worse(sig, bit - 1):
                 continue
-            assigned[o] = q + 1
-            rec(q + 1)
-            del assigned[o]
+            label[o] = q + 1
+            give(o, bit)
+            rec(q + 1, sig)
+            give(o, bit)
+            label[o] = 0
 
-    rec(0)
-    perm = tuple(best_perm[i] for i in range(1, n + 1))
-    return best_key, perm
+    rec(0, sorted(keys))
+    canon = [sum(1 << (best_perm[o] - 1) for o in range(n) if m >> o & 1)
+             for m in masks]
+    return canon, best_perm
 
 
 def canonical_form(code: Code) -> CanonicalForm:
     """Reduce, then permutation-minimize under the fixed total order."""
     red = reduce_code(code).reduced
-    member_tuples = [mask_members(m) for m in red.masks]
-    key, perm = _min_relabeling(member_tuples, red.n)
-    canon = Code(red.n, [members for _, members in key])
-    return CanonicalForm(canon, perm)
+    masks, perm = _min_relabeling(red.masks, red.n)
+    return CanonicalForm(Code(red.n, masks), perm)
 
 
 def is_isomorphic(a: Code, b: Code) -> bool:

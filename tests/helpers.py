@@ -29,6 +29,25 @@ def edge_codes() -> list[Code]:
             + [Code(n, range(1 << n)) for n in range(1, 7)])
 
 
+def cycle_code(n: int) -> Code:
+    """The edges {i, i+1} of an n-cycle."""
+    return Code(n, [[i, i % n + 1] for i in range(1, n + 1)])
+
+
+def hollow_triangles(k: int, vertex_words: bool) -> Code:
+    """k disjoint hollow triangles; with vertex_words also their vertices
+    and the empty word."""
+    words = []
+    for j in range(k):
+        a, b, c = 3 * j + 1, 3 * j + 2, 3 * j + 3
+        words += [[a, b], [b, c], [a, c]]
+        if vertex_words:
+            words += [[a], [b], [c]]
+    if vertex_words:
+        words.append([])
+    return Code(3 * k, words)
+
+
 def brute_trunk_family(code: Code) -> set[frozenset[int]]:
     """Every distinct Tk(sigma) over all 2^n sigma, by direct sweep.
     Reference for all_trunks, which builds the family by closure instead."""

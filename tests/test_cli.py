@@ -138,6 +138,14 @@ def test_images_json(capsys):
     assert doc["stats"]["explored"] >= 10
 
 
+def test_images_json_source_witness(capsys):
+    rc, out, _ = run(capsys, "images", "{12,23,1,3,0}", "--json")
+    doc = json.loads(out)
+    assert rc == 0
+    assert doc["source"] == {"n": 3, "words": [[1, 3], [2, 3], [1], [2], []]}
+    assert doc["source_witness"] == [1, 3, 2]
+
+
 def test_images_cap_is_exit_3(capsys):
     rc, _, err = run(capsys, "images", "{12,23,1,3,0}", "--max-trunks", "5")
     assert rc == 3 and "error:" in err

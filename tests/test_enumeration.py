@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from codecat import enumeration
 from codecat import (Code, ResourceCapError, all_trunks, canonical_form,
                      cached_enumerate, enumerate_reduced_images, format_code,
                      image_set_difference, image_set_from_obj,
@@ -104,6 +105,31 @@ def test_membership_witness_golden():
     assert is_isomorphic(w.image(), parse_code("{13,24,1,2,0}"))
 
 
+def test_membership_witnesses_pinned_and_canonicalised_at_target_size(monkeypatch):
+    # an irredundant set of k trunks gives a reduced image on k neurons, so
+    # only nodes of the walk with as many trunks as the reduced target has
+    # neurons need a canonical form; the witness stays the first hit
+    cf = parse_code("{2345,123,134,145,13,14,23,34,45,3,4,0}")
+    c0 = parse_code("{3456,123,145,256,45,56,1,2,3,0}")
+    c1 = parse_code("{1236,3456,145,256,26,36,45,56,1,6,0}")
+    calls = []
+    real = enumeration._canonical_of_reduced_masks
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(enumeration, "_canonical_of_reduced_masks", counted)
+    for source, target, generators, canonicalised in [
+            (cf, c1, [[3], [1], [1, 4], [2, 3], [3, 4], [4, 5]], 20),
+            (c1, c0, [[5], [1], [2, 6], [4, 5], [5, 6], [3, 6]], 39)]:
+        calls.clear()
+        w = verify_image_membership(source, target)
+        assert [sorted(t.generator) for t in w.trunks] == generators
+        assert is_isomorphic(w.image(), target)
+        assert len(calls) == canonicalised
+
+
 def test_membership_witness_deterministic():
     a = verify_image_membership(C5, parse_code("{12,1,0}"))
     b = verify_image_membership(C5, parse_code("{12,1,0}"))
@@ -166,12 +192,21 @@ def test_cache_roundtrip(tmp_path):
 def test_cache_recovers_from_corruption(tmp_path):
     cached_enumerate(C5, tmp_path)
     (path,) = tmp_path.glob("images-*.json")
-    for entry in ["{ not json", "[1,2]", "null", '"text"', "7"]:
+    emptied = dict(json.loads(path.read_text()), images=[])
+    other = image_set_to_obj(enumerate_reduced_images(parse_code("{12,34,1,3,0}")))
+    for entry in ["{ not json", "[1,2]", "null", '"text"', "7",
+                  json.dumps(emptied), json.dumps(other)]:
         path.write_text(entry)
         again = cached_enumerate(C5, tmp_path)
         assert again.images == enumerate_reduced_images(C5).images
         assert json.loads(path.read_text())  # rewritten cleanly
         assert list(tmp_path.iterdir()) == [path]  # no temporary file left
+
+
+def test_cache_hit_keeps_its_own_inputs_witness(tmp_path):
+    cached_enumerate(C5, tmp_path)
+    relabeled = parse_code("{13,23,1,2,0}")
+    assert cached_enumerate(relabeled, tmp_path).source == canonical_form(relabeled)
 
 
 def test_difference_uses_cache_dir(tmp_path):

@@ -1,11 +1,12 @@
 import itertools
 import random
 
-from codecat import (Code, canonical_form, is_isomorphic, is_reduced,
-                     minimum_neuron_number, parse_code, permutation_morphism,
-                     redundant_neurons, reduce_code, trivial_neurons)
+from codecat import (Code, canonical_form, format_code, is_isomorphic,
+                     is_reduced, minimum_neuron_number, parse_code,
+                     permutation_morphism, redundant_neurons, reduce_code,
+                     trivial_neurons)
 
-from helpers import random_codes
+from helpers import cycle_code, edge_codes, hollow_triangles, random_codes
 
 
 def relabel_code(code, perm):
@@ -83,8 +84,14 @@ def test_minimum_neuron_number_golden():
 
 
 def test_canonical_matches_brute_force():
-    # anchor the pruned search against plain exhaustion over permutations
-    for code in random_codes(80, 57, n=5, max_words=9):
+    # anchor the pruned search against plain exhaustion over permutations;
+    # the symmetric codes stress mirror-sibling pruning and tied slots that
+    # are not yet determined, and the last code loses its least relabelling
+    # if siblings with equal partial keys are skipped without the swap test
+    stress = ([cycle_code(n) for n in range(3, 8)]
+              + [hollow_triangles(2, v) for v in (False, True)]
+              + [parse_code("{1236,1245,2346,146,236,346,12,23,45,56,3,4}")])
+    for code in random_codes(80, 57, n=5, max_words=9) + edge_codes() + stress:
         cf = canonical_form(code)
         reduced = reduce_code(code).reduced
         assert code_order_key(cf.code) == brute_canonical_key(reduced)
@@ -103,6 +110,28 @@ def test_canonical_witness_is_valid():
         reduced = reduce_code(code).reduced
         assert sorted(cf.witness) == list(range(1, reduced.n + 1))
         assert permutation_morphism(reduced, cf.witness).image() == cf.code
+
+
+def test_canonical_form_and_witness_pinned():
+    # the representative and the witness by value, not only their validity
+    pinned = [
+        ("{2345,123,134,145,13,14,23,34,45,3,4,0}",
+         "{1245,123,134,235,12,13,14,23,25,1,2,0}", (3, 4, 1, 2, 5)),
+        ("{2345,234,345,123,134,145,13,14,23,34,45,3,4,0}",
+         "{1245,123,124,125,134,235,12,13,14,23,25,1,2,0}", (3, 4, 1, 2, 5)),
+        ("{2345,123,134,145,13,14,23,34,45,3,4,1,0}",
+         "{1245,123,134,235,12,13,14,23,25,1,2,3,0}", (3, 4, 1, 2, 5)),
+        ("{3456,123,145,256,45,56,1,2,3,0}",
+         "{3456,123,145,246,45,46,1,2,3,0}", (1, 2, 3, 5, 4, 6)),
+        ("{1236,3456,145,256,26,36,45,56,1,6,0}",
+         "{1245,1356,134,236,13,14,15,36,1,2,0}", (2, 4, 5, 6, 3, 1)),
+        ("{124,135,145,234,14,15,24,3,4,0}",
+         "{124,134,135,235,13,14,35,1,2,0}", (3, 4, 2, 1, 5)),
+        ("{12,23,1,3,0}", "{13,23,1,2,0}", (1, 3, 2)),
+    ]
+    for text, canon, witness in pinned:
+        cf = canonical_form(parse_code(text))
+        assert (format_code(cf.code), cf.witness) == (canon, witness)
 
 
 def test_canonical_invariant_under_relabeling():
