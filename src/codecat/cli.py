@@ -15,11 +15,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .codes import Code, _display_key, code_to_obj, format_code, mask_members, parse_code
+from .codes import (Code, _display_key, code_to_obj, format_code, mask_members, parse_code,
+                    read_json)
 from .constructions import (coproduct, is_intersection_complete,
                             is_max_intersection_complete, product)
-from .enumeration import (DEFAULT_TRUNK_CAP, default_cache_dir,
-                          enumerate_reduced_images, image_set_difference,
+from .enumeration import (DEFAULT_TRUNK_CAP, default_cache_dir, image_set_difference,
                           image_set_to_obj, verify_image_membership,
                           _enumerate_maybe_cached)
 from .exceptions import ResourceCapError
@@ -41,7 +41,7 @@ def _parse_word(text: str) -> list[int]:
     or a JSON list."""
     t = text.strip()
     if t.startswith("["):
-        val = json.loads(t)
+        val = read_json(t)
         if not (isinstance(val, list) and all(isinstance(x, int) for x in val)):
             raise ValueError(f"not a list of neuron labels: {text!r}")
         return val
@@ -60,11 +60,11 @@ def _load_obj(text: str) -> dict:
     """A JSON argument given inline or as a path to a JSON file."""
     t = text.strip()
     if t.startswith("{") or t.startswith("["):
-        return json.loads(t)
+        return read_json(t)
     path = Path(text)
     if not path.exists():
         raise ValueError(f"no such file and not inline JSON: {text!r}")
-    return json.loads(path.read_text())
+    return read_json(path.read_text())
 
 
 def _load_morphism(text: str):

@@ -170,56 +170,66 @@ def _parse_compact(body: str, declared: int | None) -> Code:
     return Code(n, words)
 
 
+def read_json(text: str, context: str = ""):
+    """json.loads that raises only ValueError, its message after context."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{context}{exc}") from exc
+    except RecursionError:
+        raise ValueError(f"{context}JSON nested too deeply") from None
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
 def _words_from_json_lists(data, declared: int | None) -> Code:
     if not isinstance(data, list) or not all(isinstance(w, list) for w in data):
         raise ValueError("JSON code must be a list of lists of neuron indices")
-    words = [frozenset(w) for w in data]
-    for w, raw in zip(words, data):
-        for i in raw:
+    for w in data:
+        for i in w:
             if not isinstance(i, int) or isinstance(i, bool) or i < 1:
                 raise ValueError(f"neuron index must be a positive int, got {i!r}")
-    n = declared if declared is not None else max((max(w) for w in words if w), default=0)
-    return Code(n, words)
+    n = declared if declared is not None else max((max(w) for w in data if w), default=0)
+    return Code(n, data)
 
 
-def parse_code(text: str) -> Code:
-    """Parse a code literal.
+def parse_code(value: str | dict) -> Code:
+    """Parse a code literal, or the object code_to_obj returns.
 
     Grammar: an optional "n=K" prefix, then either compact notation
     ("{12,23,1,3,0}", braces optional, digits 1..9, "0" or "{}" for the empty
     codeword), a JSON list of lists ("[[1,2],[10]]", "[]" is the zero-word
     code), or a JSON object {"n": K, "words": [...]} as emitted by the CLI.
     """
-    if not isinstance(text, str):
-        raise ValueError(f"expected a string, got {type(text).__name__}")
     declared: int | None = None
-    m = _N_PREFIX.match(text)
-    if m:
-        declared = int(m.group(1))
-        text = text[m.end():]
-    body = text.strip()
-    if not body:
-        raise ValueError("empty code literal")
-    if body.startswith("["):
-        try:
-            data = json.loads(body)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"bad JSON code literal: {exc}") from exc
-        return _words_from_json_lists(data, declared)
-    if _JSON_OBJECT.match(body):
-        try:
-            obj = json.loads(body)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"bad JSON code literal: {exc}") from exc
-        if not isinstance(obj, dict) or set(obj) != {"n", "words"}:
-            raise ValueError('JSON object code must have exactly the keys "n" and "words"')
-        n_obj = obj["n"]
-        if not isinstance(n_obj, int) or isinstance(n_obj, bool):
-            raise ValueError(f'"n" must be an int, got {n_obj!r}')
-        if declared is not None and declared != n_obj:
-            raise ValueError(f"prefix n={declared} disagrees with object n={n_obj}")
-        return _words_from_json_lists(obj["words"], n_obj)
-    return _parse_compact(body, declared)
+    if isinstance(value, str):
+        m = _N_PREFIX.match(value)
+        if m:
+            declared = int(m.group(1))
+            value = value[m.end():]
+        body = value.strip()
+        if not body:
+            raise ValueError("empty code literal")
+        if not body.startswith("[") and not _JSON_OBJECT.match(body):
+            return _parse_compact(body, declared)
+        value = read_json(body, "bad JSON code literal: ")
+        if isinstance(value, list):
+            return _words_from_json_lists(value, declared)
+    elif not isinstance(value, dict):
+        raise ValueError("expected a code literal string or object, "
+                         f"got {type(value).__name__}")
+    if set(value) != {"n", "words"}:
+        raise ValueError('JSON object code must have exactly the keys "n" and "words"')
+    n_obj = value["n"]
+    if not isinstance(n_obj, int) or isinstance(n_obj, bool):
+        raise ValueError(f'"n" must be an int, got {n_obj!r}')
+    if declared is not None and declared != n_obj:
+        raise ValueError(f"prefix n={declared} disagrees with object n={n_obj}")
+    return _words_from_json_lists(value["words"], n_obj)
 
 
 def _display_masks(code: Code) -> list[int]:
@@ -255,5 +265,5 @@ def format_code(code: Code, style: str = "compact") -> str:
 
 
 def code_to_obj(code: Code) -> dict:
-    """JSON-ready object form; parse_code accepts its json.dumps output."""
+    """JSON-ready object form; parse_code accepts it and its json.dumps output."""
     return {"n": code.n, "words": [list(mask_members(m)) for m in _display_masks(code)]}

@@ -25,8 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .codes import Code, code_to_obj, format_code, parse_code
-from .exceptions import ResourceCapError
+from .codes import Code, _json_list, code_to_obj, format_code, parse_code, read_json
 from .morphisms import Morphism
 from .reduction import CanonicalForm, _min_relabeling, canonical_form
 from .trunks import Trunk, _index_members, _trunk_family_masksets
@@ -70,15 +69,10 @@ def _index_pool(code: Code, max_trunks: int):
     """Distinct nonempty proper trunks as word-index masks, in a fixed order.
 
     Also enforces the cap on the total trunk count (the whole code and the
-    empty trunk included).
+    empty trunk included), before the lattice is complete.
     """
     words = code.masks
-    family = _trunk_family_masksets(code).values()
-    total = len(family) + 1  # the empty trunk counts
-    if max_trunks is not None and total > max_trunks:
-        raise ResourceCapError(
-            f"code has {total} trunks, over the cap of {max_trunks}; raise "
-            "max_trunks to enumerate anyway")
+    family = _trunk_family_masksets(code, max_trunks).values()
     full = (1 << len(words)) - 1
     pool = sorted((t for t in family if t != full), key=lambda t: (-t.bit_count(), t))
     return words, pool
@@ -239,12 +233,13 @@ def image_set_to_obj(s: ImageSet) -> dict:
 
 
 def image_set_from_obj(obj: dict) -> ImageSet:
-    source = CanonicalForm(parse_code(json.dumps(obj["source"])),
-                           tuple(obj["source_witness"]))
-    images = tuple(parse_code(json.dumps(o)) for o in obj["images"])
     st = obj["stats"]
-    return ImageSet(source, images,
-                    EnumerationStats(st["explored"], st["pruned"], st["wall_time"]))
+    stats = EnumerationStats(st["explored"], st["pruned"], st["wall_time"])
+    if not all(type(v) in (int, float) for v in vars(stats).values()):
+        raise ValueError(f"enumeration stats must be numbers, got {st!r}")
+    source = CanonicalForm(parse_code(obj["source"]), tuple(obj["source_witness"]))
+    images = tuple(parse_code(o) for o in _json_list(obj["images"], '"images"'))
+    return ImageSet(source, images, stats)
 
 
 def cached_enumerate(code: Code, cache_dir: Path | str, *, jobs: int = 1,
@@ -258,7 +253,7 @@ def cached_enumerate(code: Code, cache_dir: Path | str, *, jobs: int = 1,
     path = cdir / f"images-{digest}.json"
     if path.exists():
         try:
-            hit = image_set_from_obj(json.loads(path.read_text()))
+            hit = image_set_from_obj(read_json(path.read_text()))
             # A census always holds its own source; anything else is another
             # code's entry or a damaged one.  The stored witness belongs to
             # whichever presentation wrote the entry, so this input's is kept.

@@ -10,11 +10,11 @@ functions and may or may not be morphisms.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
-from .codes import Code, _word_key, code_to_obj, mask_members, parse_code, word_mask
+from .codes import (Code, _json_list, _word_key, code_to_obj, mask_members, parse_code,
+                    word_mask)
 from .trunks import Trunk, is_trunk, trunk_of
 
 
@@ -192,14 +192,6 @@ def permutation_morphism(code: Code, perm: Iterable[int]) -> ExplicitMap:
     return ExplicitMap.from_masks(code, codomain, mapping)
 
 
-def _code_from_literal(value) -> Code:
-    if isinstance(value, str):
-        return parse_code(value)
-    if isinstance(value, dict):
-        return parse_code(json.dumps(value))
-    raise ValueError("expected a code literal string or object")
-
-
 def explicit_map_to_obj(f: ExplicitMap) -> dict:
     return {
         "domain": code_to_obj(f.domain),
@@ -214,11 +206,12 @@ def explicit_map_from_obj(obj: dict) -> ExplicitMap:
     if not isinstance(obj, dict) or set(obj) != {"domain", "codomain", "pairs"}:
         raise ValueError('explicit map JSON needs exactly the keys "domain", '
                          '"codomain" and "pairs"')
-    domain = _code_from_literal(obj["domain"])
-    codomain = _code_from_literal(obj["codomain"])
+    domain = parse_code(obj["domain"])
+    codomain = parse_code(obj["codomain"])
     mapping = {}
-    for entry in obj["pairs"]:
-        if not (isinstance(entry, list) and len(entry) == 2):
+    for entry in _json_list(obj["pairs"], '"pairs"'):
+        if not (isinstance(entry, list) and len(entry) == 2
+                and all(isinstance(word, list) for word in entry)):
             raise ValueError("each pair must be a [word, word] list")
         src = word_mask(entry[0], domain.n)
         dst = word_mask(entry[1], codomain.n)
@@ -241,15 +234,9 @@ def morphism_from_obj(obj: dict) -> Morphism:
     if not isinstance(obj, dict) or set(obj) != {"domain", "trunk_generators"}:
         raise ValueError('morphism JSON needs exactly the keys "domain" and '
                          '"trunk_generators"')
-    dom = obj["domain"]
-    if isinstance(dom, str):
-        domain = parse_code(dom)
-    elif isinstance(dom, dict):
-        domain = parse_code(json.dumps(dom))
-    else:
-        raise ValueError("morphism domain must be a code literal or object")
+    domain = parse_code(obj["domain"])
     trunks = []
-    for gen in obj["trunk_generators"]:
+    for gen in _json_list(obj["trunk_generators"], '"trunk_generators"'):
         if gen is None:
             trunks.append(Trunk(frozenset()))
         elif isinstance(gen, list):

@@ -47,13 +47,12 @@ def redundant_neurons(code: Code) -> list[tuple[int, frozenset[int]]]:
 
 
 def is_reduced(code: Code) -> bool:
-    """No trivial neurons, no redundant neurons: equivalently, i -> Tk(i) is
-    injective onto exactly the irreducible trunks."""
-    st = [t.member_masks for _, t in simple_trunks(code)]
-    if any(not t for t in st) or len(set(st)) != len(st):
-        return False
-    irr = {t.member_masks for t in irreducible_trunks(code)}
-    return set(st) == irr
+    """No trivial neurons and no redundant neurons.
+
+    That makes i -> Tk(i) injective too: if Tk(i) = Tk(j) for i != j, then j
+    lies in the generator g of Tk(i), so Tk(g - i) = Tk(i) and i is redundant.
+    """
+    return not trivial_neurons(code) and not redundant_neurons(code)
 
 
 @dataclass(frozen=True)

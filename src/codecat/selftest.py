@@ -21,7 +21,6 @@ from . import (
     enumerate_reduced_images,
     format_code,
     image_set_difference,
-    indicator,
     is_collapsible,
     is_intersection_complete,
     is_isomorphic,

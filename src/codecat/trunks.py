@@ -14,6 +14,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .codes import Code, _display_key, _word_key, mask_members, word_mask
+from .exceptions import ResourceCapError
 
 
 @dataclass(frozen=True)
@@ -99,23 +100,30 @@ def simple_trunks(code: Code) -> list[tuple[int, Trunk]]:
     return [(i, trunk_of(code, 1 << (i - 1))) for i in range(1, code.n + 1)]
 
 
-def _intersection_closure(masks: Iterable[int]) -> set[int]:
+def _intersection_closure(masks: Iterable[int], cap: int | None = None) -> set[int]:
     """Every intersection of a nonempty subset of masks.
 
     After each word the set holds the intersections of the nonempty subsets
-    of the words seen so far, so one pass costs O(|closure| * |masks|).
+    of the words seen so far, so one pass costs O(|closure| * |masks|).  It
+    only grows, so it raises ResourceCapError once it and the empty trunk exceed cap.
     """
+    limit = float("inf") if cap is None else cap
     closed: set[int] = set()
     for w in masks:
         closed |= {g & w for g in closed}
         closed.add(w)
+        if len(closed) >= limit:
+            break
+    if len(closed) >= limit:
+        raise ResourceCapError(f"code has more trunks than the cap of {cap}; "
+                               "raise max_trunks to enumerate anyway")
     return closed
 
 
-def _trunk_family_masksets(code: Code) -> dict[int, int]:
+def _trunk_family_masksets(code: Code, cap: int | None = None) -> dict[int, int]:
     """The trunk lattice: every nonempty trunk, as {generator mask:
     Tk(generator)} with the trunk's member set a bitmask of indices into
-    code.masks.
+    code.masks.  cap bounds the trunk count as in _intersection_closure.
 
     The generator of a nonempty trunk is the intersection of its members, and
     every intersection of codewords generates its own trunk, so the
@@ -124,7 +132,7 @@ def _trunk_family_masksets(code: Code) -> dict[int, int]:
     """
     words = code.masks
     return {g: sum(1 << k for k, w in enumerate(words) if w & g == g)
-            for g in _intersection_closure(words)}
+            for g in _intersection_closure(words, cap)}
 
 
 def _index_members(words: tuple[int, ...], t: int) -> frozenset[int]:

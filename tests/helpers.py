@@ -4,7 +4,7 @@ failures replay exactly."""
 import itertools
 import random
 
-from codecat import Code
+from codecat import Code, irreducible_trunks, simple_trunks
 
 
 def random_code(rng: random.Random, n: int, max_words: int,
@@ -55,6 +55,16 @@ def brute_trunk_family(code: Code) -> set[frozenset[int]]:
     for sigma in range(1 << code.n):
         out.add(frozenset(m for m in code.mask_set if m & sigma == sigma))
     return out
+
+
+def is_reduced_by_lattice(code: Code) -> bool:
+    """i -> Tk(i) is injective onto exactly the irreducible trunks, checked
+    on the whole trunk lattice.  Reference for is_reduced, which decides the
+    same from trivial and redundant neurons alone."""
+    st = [t.member_masks for _, t in simple_trunks(code)]
+    if any(not t for t in st) or len(set(st)) != len(st):
+        return False
+    return set(st) == {t.member_masks for t in irreducible_trunks(code)}
 
 
 def intersection_closure(code: Code) -> Code:

@@ -37,6 +37,25 @@ def test_parse_error_is_exit_2(capsys):
     assert rc == 2 and "error:" in err
 
 
+DEEP = "[" * 50000
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "[[[1]]]"],
+    ["parse", '[[{"a":1}]]'],
+    ["parse", '{"n":2,"words":[[[1]]]}'],
+    ["parse", DEEP],
+    ["is-morphism", json.dumps(dict(json.loads(BIJ), pairs=5))],
+    ["is-morphism", json.dumps(dict(json.loads(BIJ), pairs=[[5, [1]]]))],
+    ["apply", json.dumps(dict(json.loads(FOUR), trunk_generators=5)), "1"],
+    ["apply", '{"domain":%s%s,"trunk_generators":[]}' % (DEEP, "]" * 50000), "1"],
+], ids=["nested-word", "object-in-word", "nested-object-word", "deep-literal",
+        "pairs-not-list", "word-not-list", "generators-not-list", "deep-domain"])
+def test_malformed_json_is_exit_2_without_traceback(capsys, argv):
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2 and err.startswith("error:") and "Traceback" not in err
+
+
 def test_usage_error_is_exit_2(capsys):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from codecat import Code, MAX_NEURONS, format_code, parse_code
+from codecat import Code, MAX_NEURONS, code_to_obj, format_code, parse_code
 from codecat.codes import mask_members, word_mask
 
 from helpers import random_codes
@@ -118,6 +118,7 @@ def test_roundtrip_random():
         obj = json.loads('{"n": %d, "words": %s}'
                          % (c.n, [[*w] for w in (sorted(w) for w in c.words)]))
         assert parse_code(json.dumps(obj)) == c
+        assert parse_code(code_to_obj(c)) == c
         # mixing up the word order never matters
         shuffled = list(c.masks)
         rng.shuffle(shuffled)

@@ -192,14 +192,17 @@ def test_cache_roundtrip(tmp_path):
 def test_cache_recovers_from_corruption(tmp_path):
     cached_enumerate(C5, tmp_path)
     (path,) = tmp_path.glob("images-*.json")
-    emptied = dict(json.loads(path.read_text()), images=[])
+    good = json.loads(path.read_text())
+    emptied = dict(good, images=[])
+    bad_stats = dict(good, stats={"explored": [1], "pruned": 5, "wall_time": "slow"})
     other = image_set_to_obj(enumerate_reduced_images(parse_code("{12,34,1,3,0}")))
     for entry in ["{ not json", "[1,2]", "null", '"text"', "7",
-                  json.dumps(emptied), json.dumps(other)]:
+                  json.dumps(emptied), json.dumps(other), json.dumps(bad_stats),
+                  "[" * 50000]:
         path.write_text(entry)
         again = cached_enumerate(C5, tmp_path)
         assert again.images == enumerate_reduced_images(C5).images
-        assert json.loads(path.read_text())  # rewritten cleanly
+        assert path.read_text() != entry and json.loads(path.read_text())  # rewritten cleanly
         assert list(tmp_path.iterdir()) == [path]  # no temporary file left
 
 

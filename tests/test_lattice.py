@@ -13,6 +13,7 @@ import pytest
 from codecat import (Code, ResourceCapError, all_trunks_have_unique_minimum,
                      irreducible_trunks, is_max_intersection_complete)
 from codecat.enumeration import _index_pool
+from codecat.trunks import _intersection_closure
 
 from helpers import (brute_trunk_family, edge_codes, intersection_closure,
                      random_codes)
@@ -39,6 +40,23 @@ def test_index_pool_matches_direct_sweep_in_order():
         _index_pool(code, len(family))  # the cap counts every trunk
         with pytest.raises(ResourceCapError):
             _index_pool(code, len(family) - 1)
+
+
+def test_trunk_cap_refuses_before_the_lattice_is_complete():
+    # the power set on 12 neurons has 4096 trunks; a cap of 24 must stop the
+    # closure after a few dozen words, not after all 4096
+    read = []
+
+    def words():
+        for w in range(1 << 12):
+            read.append(w)
+            yield w
+
+    with pytest.raises(ResourceCapError, match="raise max_trunks"):
+        _intersection_closure(words(), cap=24)
+    assert len(read) == 24  # 24 generators and the empty trunk are 25 trunks
+    with pytest.raises(ResourceCapError, match="raise max_trunks"):
+        _index_pool(Code(12, range(1 << 12)), 24)
 
 
 def test_irreducible_trunks_match_brute_meet_irreducibility():

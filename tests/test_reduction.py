@@ -6,7 +6,8 @@ from codecat import (Code, canonical_form, format_code, is_isomorphic,
                      permutation_morphism, redundant_neurons, reduce_code,
                      trivial_neurons)
 
-from helpers import cycle_code, edge_codes, hollow_triangles, random_codes
+from helpers import (cycle_code, edge_codes, hollow_triangles, is_reduced_by_lattice,
+                     random_codes)
 
 
 def relabel_code(code, perm):
@@ -49,6 +50,15 @@ def test_is_reduced():
     assert not is_reduced(parse_code("{123,1,2,0}"))      # 3 redundant
     assert not is_reduced(Code(3, [[1, 2], [2], []]))     # 3 trivial
     assert not is_reduced(parse_code("{12,0}"))           # Tk(2) = Tk(1)
+
+
+def test_is_reduced_matches_lattice_reference():
+    codes = list(edge_codes())
+    for n in range(7):
+        codes += random_codes(150, 700 + n, n=n, max_words=14)
+    verdicts = [is_reduced_by_lattice(c) for c in codes]
+    assert [is_reduced(c) for c in codes] == verdicts
+    assert 0.2 < sum(verdicts) / len(codes) < 0.8  # both answers well covered
 
 
 def test_reduce_golden_small():
