@@ -18,20 +18,36 @@ _N_PREFIX = re.compile(r"^\s*n\s*=\s*(\d+)\s*[:;]?\s*")
 _JSON_OBJECT = re.compile(r"^\{\s*\"")
 
 
-def word_mask(members: Iterable[int], n: int | None = None) -> int:
-    """Bitmask of a codeword given as an iterable of 1-based neuron indices."""
+def word_mask(word: Iterable[int] | int, n: int | None = None) -> int:
+    """Bitmask of a codeword given as 1-based neuron indices or as a bitmask.
+
+    Neuron i lives at bit i-1, so [1, 3] and 0b101 are the same word.  Both
+    spellings are checked the same way: indices must be positive ints, a mask
+    a non-negative int (not a bool), and every neuron must lie in 1..n, or in
+    1..MAX_NEURONS when n is None.  A bad word raises ValueError.
+    """
+    width = MAX_NEURONS if n is None else n
+    if isinstance(word, int):
+        if isinstance(word, bool):
+            raise ValueError(f"codeword must be neuron indices or an int mask, got {word!r}")
+        if word < 0:
+            raise ValueError(f"codeword mask must be >= 0, got {word}")
+        if word >> width:
+            raise ValueError(f"codeword mask holds neuron {word.bit_length()}, "
+                             f"which exceeds {_limit(n)}")
+        return word
     mask = 0
-    for i in members:
-        if not isinstance(i, int) or isinstance(i, bool):
-            raise ValueError(f"neuron index must be an int, got {i!r}")
-        if i < 1:
-            raise ValueError(f"neuron index must be >= 1, got {i}")
-        if n is not None and i > n:
-            raise ValueError(f"neuron index {i} exceeds declared n={n}")
-        if i > MAX_NEURONS:
-            raise ValueError(f"neuron index {i} exceeds the cap of {MAX_NEURONS}")
+    for i in word:
+        if not isinstance(i, int) or isinstance(i, bool) or i < 1:
+            raise ValueError(f"neuron index must be a positive int, got {i!r}")
+        if i > width:
+            raise ValueError(f"neuron index {i} exceeds {_limit(n)}")
         mask |= 1 << (i - 1)
     return mask
+
+
+def _limit(n: int | None) -> str:
+    return f"the cap of {MAX_NEURONS}" if n is None else f"declared n={n}"
 
 
 def mask_members(mask: int) -> tuple[int, ...]:
@@ -66,29 +82,21 @@ class Code:
 
     __slots__ = ("n", "_mask_set", "_mask_list")
 
-    def __init__(self, n: int, words: Iterable[Iterable[int]] = ()):
+    def __init__(self, n: int, words: Iterable[Iterable[int] | int] = ()):
         if not isinstance(n, int) or isinstance(n, bool):
             raise ValueError(f"neuron count must be an int, got {n!r}")
         if n < 0 or n > MAX_NEURONS:
             raise ValueError(f"neuron count must be in 0..{MAX_NEURONS}, got {n}")
         self.n = n
-        masks = set()
-        for w in words:
-            masks.add(w if isinstance(w, int) else word_mask(w, n))
-        if masks and max(masks) >= 1 << n:
-            bad = max(masks)
-            raise ValueError(
-                f"codeword {set(mask_members(bad))} does not fit in n={n} neurons"
-            )
+        masks = {word_mask(w, n) for w in words}
         self._mask_set = frozenset(masks)
         self._mask_list = tuple(sorted(masks, key=_word_key))
 
     @classmethod
-    def from_words(cls, words: Iterable[Iterable[int]]) -> "Code":
+    def from_words(cls, words: Iterable[Iterable[int] | int]) -> "Code":
         """Build a code inferring n as the largest neuron mentioned."""
-        ws = [frozenset(w) for w in words]
-        n = max((max(w) for w in ws if w), default=0)
-        return cls(n, ws)
+        masks = [word_mask(w) for w in words]
+        return cls(max(masks, default=0).bit_length(), masks)
 
     @property
     def masks(self) -> tuple[int, ...]:
@@ -106,7 +114,7 @@ class Code:
     def contains(self, word: Iterable[int]) -> bool:
         """Set membership; malformed or out-of-range words are simply absent."""
         try:
-            mask = word if isinstance(word, int) else word_mask(word)
+            mask = word_mask(word)
         except ValueError:
             return False
         return mask in self._mask_set
@@ -166,8 +174,7 @@ def _parse_compact(body: str, declared: int | None) -> Code:
                     "combine with other digits (compact notation covers neurons 1..9)"
                 )
             words.append(frozenset(int(ch) for ch in tok))
-    n = declared if declared is not None else max((max(w) for w in words if w), default=0)
-    return Code(n, words)
+    return Code.from_words(words) if declared is None else Code(declared, words)
 
 
 def read_json(text: str, context: str = ""):
@@ -189,12 +196,7 @@ def _json_list(value, what: str) -> list:
 def _words_from_json_lists(data, declared: int | None) -> Code:
     if not isinstance(data, list) or not all(isinstance(w, list) for w in data):
         raise ValueError("JSON code must be a list of lists of neuron indices")
-    for w in data:
-        for i in w:
-            if not isinstance(i, int) or isinstance(i, bool) or i < 1:
-                raise ValueError(f"neuron index must be a positive int, got {i!r}")
-    n = declared if declared is not None else max((max(w) for w in data if w), default=0)
-    return Code(n, data)
+    return Code.from_words(data) if declared is None else Code(declared, data)
 
 
 def parse_code(value: str | dict) -> Code:
@@ -237,8 +239,7 @@ def _display_masks(code: Code) -> list[int]:
 
 
 def _needs_prefix(code: Code) -> bool:
-    inferred = max((max(mask_members(m), default=0) for m in code.masks), default=0)
-    return inferred != code.n
+    return max(code.masks, default=0).bit_length() != code.n
 
 
 def format_code(code: Code, style: str = "compact") -> str:

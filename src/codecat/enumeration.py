@@ -237,7 +237,12 @@ def image_set_from_obj(obj: dict) -> ImageSet:
     stats = EnumerationStats(st["explored"], st["pruned"], st["wall_time"])
     if not all(type(v) in (int, float) for v in vars(stats).values()):
         raise ValueError(f"enumeration stats must be numbers, got {st!r}")
-    source = CanonicalForm(parse_code(obj["source"]), tuple(obj["source_witness"]))
+    code = parse_code(obj["source"])
+    witness = _json_list(obj["source_witness"], '"source_witness"')
+    if (not all(type(i) is int for i in witness)
+            or sorted(witness) != list(range(1, code.n + 1))):
+        raise ValueError(f'"source_witness" must be a permutation of 1..{code.n}')
+    source = CanonicalForm(code, tuple(witness))
     images = tuple(parse_code(o) for o in _json_list(obj["images"], '"images"'))
     return ImageSet(source, images, stats)
 

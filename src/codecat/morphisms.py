@@ -53,8 +53,7 @@ class Morphism:
         return out
 
     def apply(self, word: Iterable[int]) -> frozenset[int]:
-        mask = word if isinstance(word, int) else word_mask(word)
-        return frozenset(mask_members(self.apply_mask(mask)))
+        return frozenset(mask_members(self.apply_mask(word_mask(word))))
 
     def image(self) -> Code:
         return Code(self.m, {self.apply_mask(m) for m in self.domain.mask_set})
@@ -91,8 +90,7 @@ class ExplicitMap:
                       fn: Callable[[frozenset[int]], Iterable[int]]) -> "ExplicitMap":
         mapping = {}
         for mask in domain.mask_set:
-            dst = fn(frozenset(mask_members(mask)))
-            mapping[mask] = dst if isinstance(dst, int) else word_mask(dst)
+            mapping[mask] = word_mask(fn(frozenset(mask_members(mask))))
         return cls.from_masks(domain, codomain, mapping)
 
     @classmethod
@@ -109,8 +107,7 @@ class ExplicitMap:
         raise ValueError(f"{set(mask_members(mask))} is not a word of the domain")
 
     def apply(self, word: Iterable[int]) -> frozenset[int]:
-        mask = word if isinstance(word, int) else word_mask(word)
-        return frozenset(mask_members(self.apply_mask(mask)))
+        return frozenset(mask_members(self.apply_mask(word_mask(word))))
 
     def image(self) -> Code:
         return Code(self.codomain.n, {dst for _, dst in self.pairs})
@@ -163,7 +160,7 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
 
 def restriction_morphism(code: Code, gamma: Iterable[int]) -> ExplicitMap:
     """c -> c intersect gamma, onto its image."""
-    gmask = gamma if isinstance(gamma, int) else word_mask(gamma, code.n)
+    gmask = word_mask(gamma, code.n)
     mapping = {m: m & gmask for m in code.mask_set}
     codomain = Code(code.n, set(mapping.values()))
     return ExplicitMap.from_masks(code, codomain, mapping)
@@ -171,7 +168,7 @@ def restriction_morphism(code: Code, gamma: Iterable[int]) -> ExplicitMap:
 
 def union_morphism(code: Code, gamma: Iterable[int]) -> ExplicitMap:
     """c -> c union gamma, onto its image."""
-    gmask = gamma if isinstance(gamma, int) else word_mask(gamma, code.n)
+    gmask = word_mask(gamma, code.n)
     mapping = {m: m | gmask for m in code.mask_set}
     codomain = Code(code.n, set(mapping.values()))
     return ExplicitMap.from_masks(code, codomain, mapping)

@@ -41,7 +41,7 @@ class RingElement:
         return cls(code, code.mask_set)
 
     def value_at(self, word: Iterable[int]) -> int:
-        mask = word if isinstance(word, int) else word_mask(word)
+        mask = word_mask(word)
         if mask not in self.code.mask_set:
             raise ValueError(f"{set(mask_members(mask))} is not a codeword")
         return 1 if mask in self.support else 0
@@ -72,7 +72,7 @@ def coordinate(code: Code, i: int) -> RingElement:
 
 def indicator(code: Code, word: Iterable[int]) -> RingElement:
     """rho_c: 1 exactly at c; the zero element when c is not a codeword."""
-    mask = word if isinstance(word, int) else word_mask(word)
+    mask = word_mask(word)
     if mask not in code.mask_set:
         return RingElement.zero(code)
     return RingElement(code, frozenset({mask}))
@@ -80,10 +80,7 @@ def indicator(code: Code, word: Iterable[int]) -> RingElement:
 
 def evaluate_monomial(code: Code, sigma: Iterable[int]) -> RingElement:
     """x_sigma = product of x_i over sigma; supported on Tk(sigma)."""
-    smask = sigma if isinstance(sigma, int) else word_mask(sigma, code.n)
-    if smask >= 1 << code.n:
-        raise ValueError(f"sigma {set(mask_members(smask))} does not fit in n={code.n}")
-    return RingElement(code, trunk_of(code, smask).member_masks)
+    return RingElement(code, trunk_of(code, sigma).member_masks)
 
 
 @dataclass(frozen=True)
@@ -124,15 +121,14 @@ class MonomialMap:
 
     def monomial_image(self, tau: Iterable[int]) -> RingElement:
         """The image of y_tau = product of y_j over tau."""
-        js = mask_members(tau) if isinstance(tau, int) else tau
         out = RingElement.one(self.to_code)
-        for j in js:
+        for j in mask_members(word_mask(tau, self.from_code.n)):
             out = out * self.coordinate_image(j)
         return out
 
     def indicator_image(self, word: Iterable[int]) -> RingElement:
         """The image of rho_d, via rho_d = prod_j (y_j if j in d else 1+y_j)."""
-        dmask = word if isinstance(word, int) else word_mask(word, self.from_code.n)
+        dmask = word_mask(word, self.from_code.n)
         out = RingElement.one(self.to_code)
         for j in range(1, self.from_code.n + 1):
             yj = self.coordinate_image(j)

@@ -64,7 +64,7 @@ class SimplicialComplex:
         return frozenset(faces)
 
     def has_face(self, sigma: Iterable[int]) -> bool:
-        smask = sigma if isinstance(sigma, int) else word_mask(sigma, self.n)
+        smask = word_mask(sigma, self.n)
         return any(f & smask == smask for f in self.facets)
 
     def dim(self) -> int:
@@ -85,7 +85,7 @@ def link(k: SimplicialComplex, sigma: Iterable[int]) -> SimplicialComplex:
     The facets are the maximal F - sigma over facets F containing sigma.
     link(k, empty) is k itself.
     """
-    smask = sigma if isinstance(sigma, int) else word_mask(sigma, k.n)
+    smask = word_mask(sigma, k.n)
     if not k.has_face(smask):
         raise ValueError(f"{set(mask_members(smask))} is not a face of the complex")
     candidates = {f & ~smask for f in k.facets if f & smask == smask}

@@ -53,8 +53,7 @@ class Trunk:
         return len(self.member_masks)
 
     def __contains__(self, word) -> bool:
-        mask = word if isinstance(word, int) else word_mask(word)
-        return mask in self.member_masks
+        return word_mask(word) in self.member_masks
 
     def sort_key(self):
         return (len(self.member_masks), sorted(map(_word_key, self.member_masks)))
@@ -86,9 +85,7 @@ def trunk_to_obj(trunk: Trunk) -> dict:
 
 def trunk_of(code: Code, sigma: Iterable[int]) -> Trunk:
     """Tk_C(sigma): all codewords containing sigma.  sigma must fit in 1..n."""
-    smask = sigma if isinstance(sigma, int) else word_mask(sigma, code.n)
-    if smask >= 1 << code.n:
-        raise ValueError(f"sigma {set(mask_members(smask))} does not fit in n={code.n}")
+    smask = word_mask(sigma, code.n)
     members = frozenset(m for m in code.mask_set if m & smask == smask)
     if not members:
         return Trunk(frozenset())
@@ -157,7 +154,7 @@ def is_trunk(code: Code, subset: Iterable) -> bool:
     """
     masks = set()
     for w in subset:
-        mask = w if isinstance(w, int) else word_mask(w)
+        mask = word_mask(w)
         if mask not in code.mask_set:
             raise ValueError(
                 f"{set(mask_members(mask))} is not a codeword of the code")

@@ -175,6 +175,15 @@ def test_image_set_json_roundtrip():
     assert again.stats == out.stats
 
 
+@pytest.mark.parametrize("witness", ["abc", [9, 9, 9], [1, 1, 2], [True, 2, 3],
+                                     [1.0, 2, 3], [1, 2], [1, 2, 3, 4]])
+def test_image_set_from_obj_rejects_a_bad_witness(witness):
+    obj = image_set_to_obj(enumerate_reduced_images(C5))
+    assert sorted(obj["source_witness"]) == [1, 2, 3]
+    with pytest.raises(ValueError, match="source_witness"):
+        image_set_from_obj(dict(obj, source_witness=witness))
+
+
 def test_cache_roundtrip(tmp_path):
     first = cached_enumerate(C5, tmp_path)
     files = list(tmp_path.glob("images-*.json"))
@@ -196,9 +205,11 @@ def test_cache_recovers_from_corruption(tmp_path):
     emptied = dict(good, images=[])
     bad_stats = dict(good, stats={"explored": [1], "pruned": 5, "wall_time": "slow"})
     other = image_set_to_obj(enumerate_reduced_images(parse_code("{12,34,1,3,0}")))
+    letters = dict(good, source_witness="abc")
+    repeated = dict(good, source_witness=[9, 9, 9])
     for entry in ["{ not json", "[1,2]", "null", '"text"', "7",
                   json.dumps(emptied), json.dumps(other), json.dumps(bad_stats),
-                  "[" * 50000]:
+                  json.dumps(letters), json.dumps(repeated), "[" * 50000]:
         path.write_text(entry)
         again = cached_enumerate(C5, tmp_path)
         assert again.images == enumerate_reduced_images(C5).images
