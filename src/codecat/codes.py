@@ -36,8 +36,12 @@ def word_mask(word: Iterable[int] | int, n: int | None = None) -> int:
             raise ValueError(f"codeword mask holds neuron {word.bit_length()}, "
                              f"which exceeds {_limit(n)}")
         return word
+    try:
+        indices = iter(word)
+    except TypeError:
+        raise ValueError(f"codeword must be neuron indices or an int mask, got {word!r}") from None
     mask = 0
-    for i in word:
+    for i in indices:
         if not isinstance(i, int) or isinstance(i, bool) or i < 1:
             raise ValueError(f"neuron index must be a positive int, got {i!r}")
         if i > width:

@@ -12,6 +12,14 @@ incremental irredundancy check visits every family exactly once.
 
 Trunks are handled as word-index bitmasks of the source code, images are
 canonicalized (they are already reduced) and deduplicated by canonical form.
+
+The walk carries the image of every source word down the tree: choosing
+the trunk at depth d sets bit d in the images of its words, and backing out
+clears it, so a node's image is read off without revisiting its trunks.
+Canonical forms come from a labelling cache keyed by (k, image words).  One
+cache serves every census of an image_set_difference call, the cached ones
+that miss included, and each process-pool worker keeps one for the subtrees
+it runs; no cache outlives its call or its pool.
 """
 
 from __future__ import annotations
@@ -93,18 +101,10 @@ def _stays_irredundant(chosen: list[int], t: int) -> bool:
     return True
 
 
-def _image_signature(words_count: int, chosen: list[int]) -> frozenset[int]:
+def _image_signature(images: list[int]) -> frozenset[int]:
     """Image words of the morphism defined by the chosen trunks, as masks on
-    the new neurons 1..len(chosen)."""
-    out = set()
-    for k in range(words_count):
-        bit = 1 << k
-        img = 0
-        for j, t in enumerate(chosen):
-            if t & bit:
-                img |= 1 << j
-        out.add(img)
-    return frozenset(out)
+    the new neurons 1..len(chosen), from the walk's per-word images."""
+    return frozenset(images)
 
 
 def _canonical_of_reduced_masks(m: int, masks: frozenset[int],
@@ -116,68 +116,100 @@ def _canonical_of_reduced_masks(m: int, masks: frozenset[int],
     return hit
 
 
-def _walk(pool: list[int], chosen: list[int], start: int, counters: list[int]):
-    """Yield chosen and each irredundant extension of it by trunks from
-    pool[start:], depth first in pool order.
+def _trunk_words(words_count: int, pool: list[int]) -> list[tuple[int, ...]]:
+    """The indices of the source words in each trunk of the pool."""
+    return [tuple(k for k in range(words_count) if t >> k & 1) for t in pool]
 
-    chosen is extended in place, so a consumer must copy it to keep it.
-    counters[0] counts the nodes yielded, counters[1] the rejected extensions.
+
+def _walk(pool: list[int], members: list[tuple[int, ...]], chosen: list[int],
+          images: list[int], start: int, counters: list[int], depth: int | None = None):
+    """Yield chosen and each irredundant extension of it by trunks from
+    pool[start:], at most depth trunks long if depth is given, depth first
+    in pool order.
+
+    chosen and images are updated in place, so a consumer must copy them to
+    keep them: images[k] is the image of source word k under the chosen
+    trunks, bit j set iff word k lies in chosen[j].  members[i] lists the
+    words of pool[i].  counters[0] counts the nodes yielded, counters[1] the
+    rejected extensions.
     """
     yield chosen
     counters[0] += 1
+    if len(chosen) == depth:
+        return
+    bit = 1 << len(chosen)
     for i in range(start, len(pool)):
         if _stays_irredundant(chosen, pool[i]):
             chosen.append(pool[i])
-            yield from _walk(pool, chosen, i + 1, counters)
+            for k in members[i]:
+                images[k] |= bit
+            yield from _walk(pool, members, chosen, images, i + 1, counters, depth)
+            for k in members[i]:
+                images[k] ^= bit
             chosen.pop()
         else:
             counters[1] += 1
 
 
-def _collect(words_count: int, nodes, found: dict) -> None:
-    cache: dict = {}
+def _collect(nodes, images: list[int], found: set, labels: dict) -> None:
     for chosen in nodes:
-        sig = _image_signature(words_count, chosen)
-        canon = _canonical_of_reduced_masks(len(chosen), sig, cache)
-        found.setdefault(_code_key(canon), canon)
+        sig = _image_signature(images)
+        found.add(_canonical_of_reduced_masks(len(chosen), sig, labels))
+
+
+# The labelling cache of a pool worker, shared by the subtrees it runs for
+# one census; None outside a pool worker, where each job gets its own.
+_worker_labels: dict | None = None
+
+
+def _start_worker() -> None:
+    global _worker_labels
+    _worker_labels = {}
 
 
 def _subtree_job(args):
     words_count, pool, first = args
-    found: dict = {}
+    members = _trunk_words(words_count, pool)
+    images = [0] * words_count
+    for k in members[first]:
+        images[k] = 1
+    found: set = set()
     counters = [0, 0]
-    _collect(words_count, _walk(pool, [pool[first]], first + 1, counters), found)
-    return counters[0], counters[1], [(c.n, c.masks) for c in found.values()]
+    nodes = _walk(pool, members, [pool[first]], images, first + 1, counters)
+    _collect(nodes, images, found, {} if _worker_labels is None else _worker_labels)
+    return counters[0], counters[1], [(c.n, c.masks) for c in found]
 
 
 def enumerate_reduced_images(code: Code, *, jobs: int = 1,
-                             max_trunks: int | None = DEFAULT_TRUNK_CAP) -> ImageSet:
+                             max_trunks: int | None = DEFAULT_TRUNK_CAP,
+                             _labels: dict | None = None) -> ImageSet:
     """The set {canonical_form(image(f)) : f a morphism out of code}.
 
     Deterministic for a given input regardless of jobs; refuses codes whose
-    trunk family exceeds max_trunks.
+    trunk family exceeds max_trunks.  _labels is the labelling cache
+    (k, signature) -> canonical code to use, for callers that run several
+    censuses.
     """
     t0 = time.monotonic()
     words, pool = _index_pool(code, max_trunks)
-    found: dict = {}
+    labels = {} if _labels is None else _labels
+    members = _trunk_words(len(words), pool)
+    images = [0] * len(words)
+    found: set = set()
     counters = [0, 0]
-    w = len(words)
     if jobs <= 1 or len(pool) < 2:
-        _collect(w, _walk(pool, [], 0, counters), found)
+        _collect(_walk(pool, members, [], images, 0, counters), images, found, labels)
     else:
         # The root (empty subset) alone runs here; first-trunk subtrees fan out.
-        _collect(w, _walk(pool, [], len(pool), counters), found)
-        tasks = [(w, pool, i) for i in range(len(pool))]
-        with ProcessPoolExecutor(max_workers=jobs) as pex:
+        _collect(_walk(pool, members, [], images, 0, counters, 0), images, found, labels)
+        tasks = [(len(words), pool, i) for i in range(len(pool))]
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker) as pex:
             for explored, pruned, codes in pex.map(_subtree_job, tasks):
                 counters[0] += explored
                 counters[1] += pruned
-                for n, masks in codes:
-                    c = Code(n, masks)
-                    found.setdefault(_code_key(c), c)
-    images = tuple(c for _, c in sorted(found.items()))
+                found.update(Code(n, masks) for n, masks in codes)
     stats = EnumerationStats(counters[0], counters[1], time.monotonic() - t0)
-    return ImageSet(canonical_form(code), images, stats)
+    return ImageSet(canonical_form(code), tuple(sorted(found, key=_code_key)), stats)
 
 
 def verify_image_membership(source: Code, target: Code,
@@ -186,14 +218,16 @@ def verify_image_membership(source: Code, target: Code,
     exists; None otherwise.  The witness is the first hit in the fixed
     enumeration order.  Irredundant k trunks give a reduced image on k
     neurons, so only nodes with as many trunks as the reduced target has
-    neurons are canonicalised."""
+    neurons are canonicalised, and the walk goes no deeper."""
     target = canonical_form(target).code
     words, pool = _index_pool(source, max_trunks)
-    cache: dict = {}
-    for chosen in _walk(pool, [], 0, [0, 0]):
+    images = [0] * len(words)
+    labels: dict = {}
+    nodes = _walk(pool, _trunk_words(len(words), pool), [], images, 0, [0, 0], target.n)
+    for chosen in nodes:
         if len(chosen) == target.n:
-            sig = _image_signature(len(words), chosen)
-            if _canonical_of_reduced_masks(target.n, sig, cache) == target:
+            sig = _image_signature(images)
+            if _canonical_of_reduced_masks(target.n, sig, labels) == target:
                 return Morphism(source, tuple(Trunk(_index_members(words, t)) for t in chosen))
     return None
 
@@ -201,13 +235,14 @@ def verify_image_membership(source: Code, target: Code,
 def image_set_difference(target: Code, baselines: list[Code], *, jobs: int = 1,
                          max_trunks: int | None = DEFAULT_TRUNK_CAP,
                          cache_dir: Path | str | None = None) -> tuple[Code, ...]:
-    """Reduced images of target that are images of no baseline code."""
-    mine = _enumerate_maybe_cached(target, cache_dir, jobs=jobs, max_trunks=max_trunks)
-    covered: set[tuple] = set()
+    """Reduced images of target that are images of no baseline code.  The
+    censuses share one labelling cache."""
+    kw = {"jobs": jobs, "max_trunks": max_trunks, "_labels": {}}
+    mine = _enumerate_maybe_cached(target, cache_dir, **kw)
+    covered: set[Code] = set()
     for b in baselines:
-        other = _enumerate_maybe_cached(b, cache_dir, jobs=jobs, max_trunks=max_trunks)
-        covered |= other.canonical_keys()
-    return tuple(c for c in mine.images if _code_key(c) not in covered)
+        covered.update(_enumerate_maybe_cached(b, cache_dir, **kw).images)
+    return tuple(c for c in mine.images if c not in covered)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +283,8 @@ def image_set_from_obj(obj: dict) -> ImageSet:
 
 
 def cached_enumerate(code: Code, cache_dir: Path | str, *, jobs: int = 1,
-                     max_trunks: int | None = DEFAULT_TRUNK_CAP) -> ImageSet:
+                     max_trunks: int | None = DEFAULT_TRUNK_CAP,
+                     _labels: dict | None = None) -> ImageSet:
     """enumerate_reduced_images backed by a directory of JSON results keyed
     by the canonical form of the source, so isomorphic inputs share work."""
     cdir = Path(cache_dir)
@@ -266,7 +302,8 @@ def cached_enumerate(code: Code, cache_dir: Path | str, *, jobs: int = 1,
                 return ImageSet(source, hit.images, hit.stats)
         except (ValueError, KeyError, TypeError):
             pass  # unreadable or malformed entry; recompute and overwrite
-    result = enumerate_reduced_images(code, jobs=jobs, max_trunks=max_trunks)
+    result = enumerate_reduced_images(code, jobs=jobs, max_trunks=max_trunks,
+                                      _labels=_labels)
     cdir.mkdir(parents=True, exist_ok=True)
     # A temporary file of its own per writer, so concurrent runs never
     # interleave their bytes; os.replace publishes it whole.

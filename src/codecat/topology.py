@@ -32,6 +32,9 @@ class SimplicialComplex:
     n: int
     facets: frozenset[int]
 
+    def __post_init__(self):
+        _check_vertex_count(self.n)
+
     @classmethod
     def from_masks(cls, n: int, face_masks: Iterable[int]) -> "SimplicialComplex":
         faces = set(face_masks)
@@ -41,6 +44,7 @@ class SimplicialComplex:
 
     @classmethod
     def from_faces(cls, n: int, faces: Iterable[Iterable[int]]) -> "SimplicialComplex":
+        _check_vertex_count(n)  # before word_mask reads any face against n
         return cls.from_masks(n, (word_mask(f, n) for f in faces))
 
     @property
@@ -72,6 +76,11 @@ class SimplicialComplex:
         if not self.facets:
             return -2
         return max(f.bit_count() for f in self.facets) - 1
+
+
+def _check_vertex_count(n) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"vertex count must be a non-negative int, got {n!r}")
 
 
 def simplicial_complex(code: Code) -> SimplicialComplex:

@@ -99,3 +99,17 @@ def induced_image_words(code: Code, trunk_members_list) -> set[int]:
                 w |= 1 << j
         out.add(w)
     return out
+
+
+def image_signature(words_count: int, chosen) -> frozenset[int]:
+    """Image words of the morphism defined by the chosen word-index trunks,
+    each rebuilt from every trunk.  Reference for the word images the
+    enumeration walk updates one trunk at a time."""
+    out = set()
+    for k in range(words_count):
+        img = 0
+        for j, t in enumerate(chosen):
+            if t >> k & 1:
+                img |= 1 << j
+        out.add(img)
+    return frozenset(out)

@@ -11,9 +11,12 @@ from codecat import (Code, ResourceCapError, all_trunks, canonical_form,
                      image_set_to_obj, is_isomorphic, is_reduced, parse_code,
                      verify_image_membership)
 
-from helpers import induced_image_words, random_codes
+from helpers import image_signature, induced_image_words, random_codes
 
 C5 = parse_code("{12,23,1,3,0}")
+CF = parse_code("{2345,123,134,145,13,14,23,34,45,3,4,0}")
+DF = parse_code("{2345,234,345,123,134,145,13,14,23,34,45,3,4,0}")
+EF = parse_code("{2345,123,134,145,13,14,23,34,45,3,4,1,0}")
 
 
 def oracle_images(code):
@@ -241,3 +244,114 @@ def test_df_census_walk_pinned_serial_and_pooled():
         assert len(out.images) == 721
         assert (out.stats.explored, out.stats.pruned) == (3305, 2071)
     assert pooled.images == serial.images
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls made to enumeration.<name> through its module global."""
+    calls = []
+    real = getattr(enumeration, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, name, counted)
+    return calls
+
+
+def test_membership_walk_stops_at_target_size(monkeypatch):
+    # a negative query walks the whole tree down to the target's size: of
+    # the 3305 nodes of DF's census walk, 1013 hold more trunks than C2 has
+    # neurons and are never visited
+    c2 = parse_code("{124,135,145,234,14,15,24,3,4,0}")
+    depths = []
+    real = enumeration._walk
+
+    def counted(pool, members, chosen, *rest):
+        depths.append(len(chosen))
+        return real(pool, members, chosen, *rest)
+
+    monkeypatch.setattr(enumeration, "_walk", counted)
+    assert verify_image_membership(DF, c2) is None
+    assert len(depths) == 3305 - 1013
+    assert max(depths) == canonical_form(c2).code.n == 5
+
+
+def test_difference_shares_one_labelling_cache(monkeypatch):
+    # the three censuses need 407 + 1373 + 378 lex-min searches on their
+    # own, but only 1540 distinct (k, signature) pairs between them
+    searches = count_calls(monkeypatch, "_min_relabeling")
+    for code, alone in [(CF, 407), (DF, 1373), (EF, 378)]:
+        searches.clear()
+        enumerate_reduced_images(code)
+        assert len(searches) == alone
+    searches.clear()
+    assert len(image_set_difference(CF, [DF, EF])) == 4
+    assert len(searches) == 1540
+
+
+def test_difference_shares_its_labelling_cache_with_cache_misses(tmp_path, monkeypatch):
+    searches = count_calls(monkeypatch, "_min_relabeling")
+    uncached = image_set_difference(CF, [DF, EF])
+    searches.clear()
+    assert image_set_difference(CF, [DF, EF], cache_dir=tmp_path) == uncached
+    # the three misses share the call's cache; the canonical forms that key
+    # the entries search through reduction's own name, not counted here
+    assert len(searches) == 1540
+
+
+def test_word_images_match_reference_at_every_node(monkeypatch):
+    # every node of the serial walks and of every first-trunk subtree job:
+    # the images carried down the walk equal those rebuilt from all trunks
+    real = enumeration._collect
+    checked = []
+
+    def checking(nodes, images, found, labels):
+        def check():
+            for chosen in nodes:
+                assert frozenset(images) == image_signature(len(images), chosen)
+                checked.append(len(chosen))
+                yield chosen
+        real(check(), images, found, labels)
+
+    monkeypatch.setattr(enumeration, "_collect", checking)
+    for code, explored in [(CF, 1065), (DF, 3305), (EF, 1065)]:
+        checked.clear()
+        assert enumerate_reduced_images(code).stats.explored == explored
+        assert len(checked) == explored
+        words, pool = enumeration._index_pool(code, None)
+        checked.clear()
+        for i in range(len(pool)):
+            enumeration._subtree_job((len(words), pool, i))
+        assert len(checked) == explored - 1  # all but the root
+
+
+@pytest.mark.parametrize("code", [CF, EF, C5], ids=["CF", "EF", "C5"])
+def test_pooled_census_equals_serial(code):
+    serial = enumerate_reduced_images(code)
+    pooled = enumerate_reduced_images(code, jobs=2)
+    assert pooled.images == serial.images
+    assert ((pooled.stats.explored, pooled.stats.pruned)
+            == (serial.stats.explored, serial.stats.pruned))
+
+
+def test_subtree_jobs_share_a_cache_only_in_a_worker(monkeypatch):
+    # outside a pool worker each job labels from scratch; a worker's jobs
+    # share the cache its initializer made, so running every subtree in one
+    # worker costs what the serial walk costs, less the root's one search
+    words, pool = enumeration._index_pool(EF, None)
+    searches = count_calls(monkeypatch, "_min_relabeling")
+    jobs = [(len(words), pool, i) for i in range(len(pool))]
+
+    def run_all():
+        return [(e, p, set(codes)) for e, p, codes in map(enumeration._subtree_job, jobs)]
+
+    for _ in range(2):
+        searches.clear()
+        fresh = run_all()
+        assert len(searches) == 617
+    monkeypatch.setattr(enumeration, "_worker_labels", None)
+    enumeration._start_worker()
+    searches.clear()
+    assert run_all() == fresh
+    assert len(searches) == 378 - 1

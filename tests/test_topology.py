@@ -107,6 +107,22 @@ def test_face_cap_refusal():
     assert len(big.face_masks(cap=1 << 21)) == 1 << 21
 
 
+@pytest.mark.parametrize("n", [-1, True, False, 2.0, "3", None])
+def test_vertex_count_must_be_a_non_negative_int(n):
+    for build in (lambda: SimplicialComplex.from_faces(n, [[]]),
+                  lambda: SimplicialComplex.from_faces(n, [0]),
+                  lambda: SimplicialComplex.from_masks(n, [0]),
+                  lambda: SimplicialComplex(n, frozenset())):
+        with pytest.raises(ValueError, match="vertex count must be a non-negative int"):
+            build()
+
+
+def test_vertex_count_is_not_capped():
+    k = SimplicialComplex.from_faces(70, [[70, 1]])
+    assert k.n == 70 and k.has_face([70]) and k.dim() == 1
+    assert SimplicialComplex.from_faces(0, [[]]).dim() == -1
+
+
 def test_link_of_vertex_in_hollow_triangle():
     lk = link(HOLLOW, [2])
     assert lk.facets == {0b001, 0b100}  # two loose vertices

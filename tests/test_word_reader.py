@@ -111,3 +111,13 @@ def test_unbounded_masks_are_capped():
     with pytest.raises(ValueError, match=f"neuron index 70 exceeds the cap of {MAX_NEURONS}"):
         Code.from_words([[70]])
     assert Code.from_words([0b101, [2]]) == Code(3, [[1, 3], [2]])
+
+
+@pytest.mark.parametrize("bad", [None, 1.5, object()])
+def test_a_word_neither_int_nor_iterable_is_refused(bad):
+    with pytest.raises(ValueError) as info:
+        Code(2, [bad])
+    assert str(info.value) == f"codeword must be neuron indices or an int mask, got {bad!r}"
+    code = Code(2, [[1], []])
+    assert code.contains(bad) is False
+    assert bad not in code
