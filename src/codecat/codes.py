@@ -36,17 +36,16 @@ def word_mask(word: Iterable[int] | int, n: int | None = None) -> int:
             raise ValueError(f"codeword mask holds neuron {word.bit_length()}, "
                              f"which exceeds {_limit(n)}")
         return word
-    try:
-        indices = iter(word)
-    except TypeError:
-        raise ValueError(f"codeword must be neuron indices or an int mask, got {word!r}") from None
     mask = 0
-    for i in indices:
-        if not isinstance(i, int) or isinstance(i, bool) or i < 1:
-            raise ValueError(f"neuron index must be a positive int, got {i!r}")
-        if i > width:
-            raise ValueError(f"neuron index {i} exceeds {_limit(n)}")
-        mask |= 1 << (i - 1)
+    try:
+        for i in word:
+            if not isinstance(i, int) or isinstance(i, bool) or i < 1:
+                raise ValueError(f"neuron index must be a positive int, got {i!r}")
+            if i > width:
+                raise ValueError(f"neuron index {i} exceeds {_limit(n)}")
+            mask |= 1 << (i - 1)
+    except TypeError:  # from iterating word; with an int n the checks raise none
+        raise ValueError(f"codeword must be neuron indices or an int mask, got {word!r}") from None
     return mask
 
 
