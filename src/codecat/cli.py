@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 negative answer from a predicate-style command
 (the command still prints ``false``/``none``), 2 bad usage or unparsable
 input, 3 a resource cap refused the computation (raise it with
---max-trunks / --face-cap).
+--max-trunks / --face-cap / --max-search-nodes).
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .morphisms import (decompose, explicit_map_from_obj, is_morphism,
                         morphism_from_obj, morphism_to_obj)
 from .neural_ring import (coordinate, evaluate_monomial, indicator,
                           morphism_to_monomial_map)
-from .reduction import canonical_form, is_isomorphic, minimum_neuron_number, \
-    reduce_code
+from .reduction import (DEFAULT_MAX_NODES, canonical_form, minimum_neuron_number,
+                        reduce_code)
 from .topology import DEFAULT_FACE_CAP, local_obstruction_report
 from .trunks import all_trunks, irreducible_trunks, trunk_of, trunk_to_obj
 
@@ -173,12 +173,14 @@ def _cmd_minn(args) -> int:
 
 def _cmd_iso(args) -> int:
     a, b = parse_code(args.code1), parse_code(args.code2)
-    same = is_isomorphic(a, b)
+    cap = None if args.max_search_nodes <= 0 else args.max_search_nodes
+    left, right = canonical_form(a, cap).code, canonical_form(b, cap).code
+    same = left == right
     if args.json:
         print(json.dumps({
             "isomorphic": same,
-            "canonical_left": code_to_obj(canonical_form(a).code),
-            "canonical_right": code_to_obj(canonical_form(b).code),
+            "canonical_left": code_to_obj(left),
+            "canonical_right": code_to_obj(right),
         }))
         return 0 if same else 1
     return _bool_result(same, False, "isomorphic")
@@ -437,6 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
     q = cmd("iso", _cmd_iso, "are two codes isomorphic? (exit 1 if not)")
     q.add_argument("code1")
     q.add_argument("code2")
+    q.add_argument("--max-search-nodes", type=int, default=DEFAULT_MAX_NODES,
+                   metavar="N",
+                   help="refuse a canonical labelling search that needs more "
+                        "nodes; 0 removes the cap (default %(default)s)")
     _add_json(q)
 
     q = cmd("apply", _cmd_apply, "apply a morphism (JSON or file) to a word")

@@ -89,16 +89,17 @@ def _index_pool(code: Code, max_trunks: int):
 def _stays_irredundant(chosen: list[int], t: int) -> bool:
     """Would chosen + [t] still have no member equal to an intersection of
     the others?  A member x is such an intersection iff the intersection of
-    its strict supersets in the family equals x."""
-    fam = chosen + [t]
-    for x in fam:
-        acc = None
-        for y in fam:
-            if y != x and y & x == x:
-                acc = y if acc is None else acc & y
-        if acc == x:
-            return False
-    return True
+    its strict supersets in the family equals x.
+
+    Relies on the walk's order: chosen is irredundant and t comes after all
+    of it in the pool, which is sorted by descending size, so t is a strict
+    superset of no member.  Then only t itself can be the intersection of
+    its strict supersets."""
+    acc = -1
+    for y in chosen:
+        if y & t == t:
+            acc &= y
+    return acc != t
 
 
 def _image_signature(images: list[int]) -> frozenset[int]:

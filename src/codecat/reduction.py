@@ -19,6 +19,7 @@ from collections.abc import Collection
 from dataclasses import dataclass
 
 from .codes import Code, mask_members
+from .exceptions import ResourceCapError
 from .morphisms import Morphism
 from .trunks import irreducible_trunks, simple_trunks, trunk_of
 
@@ -89,6 +90,10 @@ def minimum_neuron_number(code: Code) -> int:
 # ---------------------------------------------------------------------------
 # canonical form
 
+# Search nodes one lex-min labelling may visit before it is refused.
+DEFAULT_MAX_NODES = 100_000
+
+
 @dataclass(frozen=True)
 class CanonicalForm:
     """A reduced, permutation-minimal code plus the relabeling that got there.
@@ -100,19 +105,30 @@ class CanonicalForm:
     witness: tuple[int, ...]
 
 
-def _min_relabeling(masks: Collection[int], n: int):
+def _min_relabeling(masks: Collection[int], n: int,
+                    max_nodes: int | None = DEFAULT_MAX_NODES):
     """Lexicographically least relabeling of a code on neurons 1..n, given by
     its word masks.
 
     Returns (canonical word masks, perm) where perm[i-1] is the new label of
     neuron i.  Branch and bound over which old neuron gets each new label in
-    turn.  Each word is one integer order key: label q is bit n-q of the
-    word's rank, so (size << n) | (full ^ rank) sorts exactly like (size,
-    sorted labels padded with an infinite label); a label not yet given is a
-    missing bit.  A branch is cut only when the partial word list already
-    beats or loses to the incumbent on a fully-determined prefix; comparing
-    sorted projections alone is not sound because list slots that tie on the
-    assigned labels can still flip on the unassigned ones.
+    turn, siblings in order of their partial word lists.  Each word is one
+    integer order key: label q is bit n-q of the word's rank, so (size << n)
+    | (full ^ rank) sorts exactly like (size, sorted labels padded with an
+    infinite label); a label not yet given is a missing bit.  A branch is cut
+    when a lower bound on every completion of its word list already loses to
+    the incumbent (see provably_worse).
+
+    Symmetric siblings are cut as in individualise-and-refine search.  A leaf
+    that ties the incumbent, or a swap of two sibling neurons that fixes the
+    code, is an automorphism; a sibling is skipped when automorphisms that
+    fix every labelled neuron map an earlier sibling onto it, since its
+    subtree then holds the same keys as one already searched.  Every cut
+    keeps the first least leaf in sibling order, so the result does not
+    depend on which automorphisms were found.
+
+    Raises ResourceCapError once the search would visit more than max_nodes
+    nodes; None removes the cap.
     """
     full = (1 << n) - 1
     keys = [(m.bit_count() << n) | full for m in masks]
@@ -121,72 +137,135 @@ def _min_relabeling(masks: Collection[int], n: int):
     label = [0] * n  # label[o] is the new label of neuron o+1; 0 while unset
     best_key: list[int] | None = None
     best_perm: tuple[int, ...] = ()
+    # Automorphisms found so far: (mask of the neurons moved, [(o, image)]).
+    autos: list[tuple[int, list[tuple[int, int]]]] = []
+    left = max_nodes
 
     def give(o: int, bit: int) -> None:
         for w in holders[o]:
             keys[w] ^= bit
 
     def mirrored(a: int, b: int) -> bool:
-        # Does swapping neurons a and b fix the code?  (An automorphism check:
-        # such candidates generate mirror-image search subtrees.)
+        # Does swapping neurons a and b fix the code?
         ab = (1 << a) | (1 << b)
         return all((m ^ ab if (m >> a ^ m >> b) & 1 else m) in mask_set
                    for m in masks)
 
-    def provably_worse(sig: list[int], low: int) -> bool:
-        # True only when every completion of the current assignment compares
-        # greater than the incumbent, whose labels above the current depth
-        # are masked off by low.
-        for s, b in zip(sig, best_key):
-            b |= low
-            if s == b:
-                if n - (s & full).bit_count() != s >> n:
-                    return False  # equal but undetermined; later slots unprovable
+    def orbits(fixed: int) -> list[int]:
+        # The least neuron of each neuron's orbit under the automorphisms
+        # found so far that move no neuron of fixed (a union-find whose
+        # roots are the least members, so one pass in order flattens it).
+        root = list(range(n))
+        for moved, pairs in autos:
+            if moved & fixed:
                 continue
-            return s > b
+            for a, b in pairs:
+                while root[a] != a:
+                    a = root[a]
+                while root[b] != b:
+                    b = root[b]
+                if a < b:
+                    root[b] = a
+                elif b < a:
+                    root[a] = b
+        for o in range(n):
+            root[o] = root[root[o]]
+        return root
+
+    def provably_worse(sig: list[int], top: int) -> bool:
+        # True only when every completion of the current assignment compares
+        # greater than the incumbent; top is the bit of the label just given.
+        # A word with u unlabelled neurons gets at best the next u free
+        # labels.  Words with one partial key and one unlabelled neuron hold
+        # distinct neurons, so the r-th of them gets at best the r-th free
+        # label.  Partial keys that differ differ above the free labels, so
+        # these bounds keep sig's order and bound the completed list slot by
+        # slot.
+        prev = r = 0
+        for v, b in zip(sig, best_key):
+            u = (v >> n) - n + (v & full).bit_count()
+            if u == 1:
+                r = r + 1 if v == prev else 0
+                prev = v
+                v ^= top >> (r + 1)
+            elif u:
+                v ^= top - (top >> u)
+            if v != b:
+                return v > b
         return False
 
-    def rec(q: int, sig: list[int]):
-        nonlocal best_key, best_perm
+    def rec(q: int, sig: list[int], fixed: int):
+        nonlocal best_key, best_perm, left
+        if left is not None:
+            if not left:
+                raise ResourceCapError(
+                    f"canonical labelling search exceeded its cap of {max_nodes} "
+                    "nodes; raise max_nodes to search anyway")
+            left -= 1
         if q == n:
             if best_key is None or sig < best_key:
                 best_key, best_perm = sig, tuple(label)
+            elif sig == best_key:
+                # best_perm^-1 . label maps the code onto itself.
+                old = [0] * n
+                for o, new in enumerate(best_perm):
+                    old[new - 1] = o
+                pairs = [(o, old[label[o] - 1]) for o in range(n)
+                         if old[label[o] - 1] != o]
+                autos.append((sum(1 << o for o, _ in pairs), pairs))
             return
         bit = 1 << (n - q - 1)  # label q+1
+        found = len(autos)
+        root = orbits(fixed) if found else None
         cands = []
         for o in range(n):
-            if not label[o]:
+            if not label[o] and (root is None or root[o] == o):
                 give(o, bit)
                 cands.append((sorted(keys), o))
                 give(o, bit)
         cands.sort()
-        kept: list[tuple[list[int], int]] = []
+        seen: list[int] = []
+        twins: list[int] = []  # kept siblings whose sig is the current one
+        last = None
         for sig, o in cands:
-            if any(sig == ksig and mirrored(ko, o) for ksig, ko in kept):
+            if len(autos) != found:
+                found = len(autos)
+                root = orbits(fixed)
+            if root is not None and any(root[s] == root[o] for s in seen):
                 continue
-            kept.append((sig, o))
-        for sig, o in kept:
-            if best_key is not None and provably_worse(sig, bit - 1):
+            seen.append(o)
+            if sig != last:
+                last, twins = sig, []
+            else:
+                twin = next((t for t in twins if mirrored(t, o)), None)
+                if twin is not None:
+                    autos.append(((1 << twin) | (1 << o), [(twin, o)]))
+                    continue
+            twins.append(o)
+            if best_key is not None and provably_worse(sig, bit):
                 continue
             label[o] = q + 1
             give(o, bit)
-            rec(q + 1, sig)
+            rec(q + 1, sig, fixed | 1 << o)
             give(o, bit)
             label[o] = 0
 
-    rec(0, sorted(keys))
+    rec(0, sorted(keys), 0)
     canon = [sum(1 << (best_perm[o] - 1) for o in range(n) if m >> o & 1)
              for m in masks]
     return canon, best_perm
 
 
-def canonical_form(code: Code) -> CanonicalForm:
-    """Reduce, then permutation-minimize under the fixed total order."""
+def canonical_form(code: Code, max_nodes: int | None = DEFAULT_MAX_NODES) -> CanonicalForm:
+    """Reduce, then permutation-minimize under the fixed total order.
+    Refuses with ResourceCapError once the search for the least relabeling
+    would visit more than max_nodes nodes; None removes the cap."""
     red = reduce_code(code).reduced
-    masks, perm = _min_relabeling(red.masks, red.n)
+    masks, perm = _min_relabeling(red.masks, red.n, max_nodes)
     return CanonicalForm(Code(red.n, masks), perm)
 
 
-def is_isomorphic(a: Code, b: Code) -> bool:
-    """Equality of canonical forms."""
-    return canonical_form(a).code == canonical_form(b).code
+def is_isomorphic(a: Code, b: Code, max_nodes: int | None = DEFAULT_MAX_NODES) -> bool:
+    """Equality of canonical forms, each found within max_nodes search nodes."""
+    return (canonical_form(a, max_nodes).code
+            == canonical_form(b, max_nodes).code)

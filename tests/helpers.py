@@ -3,6 +3,7 @@ failures replay exactly."""
 
 import itertools
 import random
+from collections.abc import Collection
 
 from codecat import Code, irreducible_trunks, simple_trunks
 
@@ -101,6 +102,22 @@ def induced_image_words(code: Code, trunk_members_list) -> set[int]:
     return out
 
 
+def stays_irredundant_by_pairs(chosen, t) -> bool:
+    """Would chosen + [t] still have no member equal to an intersection of
+    the others?  Checks every member against the intersection of its strict
+    supersets, whatever the order of the family.  Reference for
+    enumeration._stays_irredundant, which checks t alone."""
+    fam = chosen + [t]
+    for x in fam:
+        acc = None
+        for y in fam:
+            if y != x and y & x == x:
+                acc = y if acc is None else acc & y
+        if acc == x:
+            return False
+    return True
+
+
 def image_signature(words_count: int, chosen) -> frozenset[int]:
     """Image words of the morphism defined by the chosen word-index trunks,
     each rebuilt from every trunk.  Reference for the word images the
@@ -113,3 +130,86 @@ def image_signature(words_count: int, chosen) -> frozenset[int]:
                 img |= 1 << j
         out.add(img)
     return frozenset(out)
+
+
+def min_relabeling_by_swaps(masks: Collection[int], n: int):
+    """Lexicographically least relabeling of a code on neurons 1..n, given by
+    its word masks.  The search as it stood before it recorded
+    automorphisms: it prunes only siblings that a swap of two neurons maps
+    onto each other.  Reference for reduction._min_relabeling, which must
+    return the same canonical masks and the same perm.
+
+    Returns (canonical word masks, perm) where perm[i-1] is the new label of
+    neuron i.  Branch and bound over which old neuron gets each new label in
+    turn.  Each word is one integer order key: label q is bit n-q of the
+    word's rank, so (size << n) | (full ^ rank) sorts exactly like (size,
+    sorted labels padded with an infinite label); a label not yet given is a
+    missing bit.  A branch is cut only when the partial word list already
+    beats or loses to the incumbent on a fully-determined prefix; comparing
+    sorted projections alone is not sound because list slots that tie on the
+    assigned labels can still flip on the unassigned ones.
+    """
+    full = (1 << n) - 1
+    keys = [(m.bit_count() << n) | full for m in masks]
+    holders = [[w for w, m in enumerate(masks) if m >> o & 1] for o in range(n)]
+    mask_set = frozenset(masks)
+    label = [0] * n  # label[o] is the new label of neuron o+1; 0 while unset
+    best_key: list[int] | None = None
+    best_perm: tuple[int, ...] = ()
+
+    def give(o: int, bit: int) -> None:
+        for w in holders[o]:
+            keys[w] ^= bit
+
+    def mirrored(a: int, b: int) -> bool:
+        # Does swapping neurons a and b fix the code?  (An automorphism check:
+        # such candidates generate mirror-image search subtrees.)
+        ab = (1 << a) | (1 << b)
+        return all((m ^ ab if (m >> a ^ m >> b) & 1 else m) in mask_set
+                   for m in masks)
+
+    def provably_worse(sig: list[int], low: int) -> bool:
+        # True only when every completion of the current assignment compares
+        # greater than the incumbent, whose labels above the current depth
+        # are masked off by low.
+        for s, b in zip(sig, best_key):
+            b |= low
+            if s == b:
+                if n - (s & full).bit_count() != s >> n:
+                    return False  # equal but undetermined; later slots unprovable
+                continue
+            return s > b
+        return False
+
+    def rec(q: int, sig: list[int]):
+        nonlocal best_key, best_perm
+        if q == n:
+            if best_key is None or sig < best_key:
+                best_key, best_perm = sig, tuple(label)
+            return
+        bit = 1 << (n - q - 1)  # label q+1
+        cands = []
+        for o in range(n):
+            if not label[o]:
+                give(o, bit)
+                cands.append((sorted(keys), o))
+                give(o, bit)
+        cands.sort()
+        kept: list[tuple[list[int], int]] = []
+        for sig, o in cands:
+            if any(sig == ksig and mirrored(ko, o) for ksig, ko in kept):
+                continue
+            kept.append((sig, o))
+        for sig, o in kept:
+            if best_key is not None and provably_worse(sig, bit - 1):
+                continue
+            label[o] = q + 1
+            give(o, bit)
+            rec(q + 1, sig)
+            give(o, bit)
+            label[o] = 0
+
+    rec(0, sorted(keys))
+    canon = [sum(1 << (best_perm[o] - 1) for o in range(n) if m >> o & 1)
+             for m in masks]
+    return canon, best_perm

@@ -97,6 +97,22 @@ def test_iso_exit_codes(capsys):
     assert rc == 1 and out == "false\n"
 
 
+TRIANGLES10 = json.dumps([[t + a, t + b] for t in range(1, 31, 3)
+                          for a, b in ((0, 1), (0, 2), (1, 2))]
+                         + [[i] for i in range(1, 31)] + [[]])
+
+
+def test_iso_search_node_cap_is_exit_3(capsys):
+    # 10 hollow triangles with their vertices and the empty word: the
+    # search needs 661 nodes, so a cap of 100 refuses and 0 lifts the cap
+    rc, out, err = run(capsys, "iso", TRIANGLES10, TRIANGLES10,
+                       "--max-search-nodes", "100")
+    assert rc == 3 and out == ""
+    assert err.startswith("error:") and "100 nodes" in err and "Traceback" not in err
+    rc, out, _ = run(capsys, "iso", TRIANGLES10, TRIANGLES10, "--max-search-nodes", "0")
+    assert rc == 0 and out == "true\n"
+
+
 def test_apply_and_image(capsys):
     rc, out, _ = run(capsys, "apply", FOUR, "23")
     assert rc == 0 and out == "12\n"

@@ -11,7 +11,8 @@ from codecat import (Code, ResourceCapError, all_trunks, canonical_form,
                      image_set_to_obj, is_isomorphic, is_reduced, parse_code,
                      verify_image_membership)
 
-from helpers import image_signature, induced_image_words, random_codes
+from helpers import (image_signature, induced_image_words, random_codes,
+                     stays_irredundant_by_pairs)
 
 C5 = parse_code("{12,23,1,3,0}")
 CF = parse_code("{2345,123,134,145,13,14,23,34,45,3,4,0}")
@@ -324,6 +325,32 @@ def test_word_images_match_reference_at_every_node(monkeypatch):
         for i in range(len(pool)):
             enumeration._subtree_job((len(words), pool, i))
         assert len(checked) == explored - 1  # all but the root
+
+
+def test_irredundancy_check_matches_reference_at_every_extension(monkeypatch):
+    # every extension the serial walks and every first-trunk subtree job try:
+    # checking the new trunk alone agrees with checking every member
+    real = enumeration._stays_irredundant
+    tried = []
+
+    def checking(chosen, t):
+        verdict = real(chosen, t)
+        assert verdict == stays_irredundant_by_pairs(chosen, t)
+        tried.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(enumeration, "_stays_irredundant", checking)
+    for code, explored, pruned in [(CF, 1065, 721), (DF, 3305, 2071), (EF, 1065, 721)]:
+        tried.clear()
+        stats = enumerate_reduced_images(code).stats
+        assert (stats.explored, stats.pruned) == (explored, pruned)
+        assert (tried.count(True), tried.count(False)) == (explored - 1, pruned)
+        words, pool = enumeration._index_pool(code, None)
+        tried.clear()
+        for i in range(len(pool)):
+            enumeration._subtree_job((len(words), pool, i))
+        # the jobs start one trunk deep, so the root's extensions are not tried
+        assert (tried.count(True), tried.count(False)) == (explored - 1 - len(pool), pruned)
 
 
 @pytest.mark.parametrize("code", [CF, EF, C5], ids=["CF", "EF", "C5"])

@@ -1,13 +1,17 @@
 import itertools
 import random
+import time
 
-from codecat import (Code, canonical_form, format_code, is_isomorphic,
-                     is_reduced, minimum_neuron_number, parse_code,
-                     permutation_morphism, redundant_neurons, reduce_code,
-                     trivial_neurons)
+import pytest
+
+from codecat import (Code, ResourceCapError, canonical_form, enumeration, format_code,
+                     image_set_difference, is_isomorphic, is_reduced,
+                     minimum_neuron_number, parse_code, permutation_morphism,
+                     redundant_neurons, reduce_code, trivial_neurons)
+from codecat.reduction import _min_relabeling
 
 from helpers import (cycle_code, edge_codes, hollow_triangles, is_reduced_by_lattice,
-                     random_codes)
+                     min_relabeling_by_swaps, random_codes)
 
 
 def relabel_code(code, perm):
@@ -193,3 +197,86 @@ def test_isomorphic_iff_same_brute_canonical():
     for (a, ka) in zip(codes, keys):
         for (b, kb) in zip(codes, keys):
             assert is_isomorphic(a, b) == (ka == kb)
+
+
+PAPER = ["{2345,123,134,145,13,14,23,34,45,3,4,0}",
+         "{2345,234,345,123,134,145,13,14,23,34,45,3,4,0}",
+         "{2345,123,134,145,13,14,23,34,45,3,4,1,0}",
+         "{3456,123,145,256,45,56,1,2,3,0}",
+         "{1236,3456,145,256,26,36,45,56,1,6,0}",
+         "{124,135,145,234,14,15,24,3,4,0}",
+         "{12,23,1,3,0}"]
+
+
+def search_and_reference(masks, n):
+    """(canonical masks, perm) from the search and from the swap-only
+    reference it replaced."""
+    got, ref = _min_relabeling(masks, n), min_relabeling_by_swaps(masks, n)
+    return (list(got[0]), got[1]), (list(ref[0]), ref[1])
+
+
+def test_search_matches_swap_only_reference():
+    # automorphism pruning and the bound must keep the first least leaf, so
+    # the witness as well as the canonical code; symmetric inputs also as
+    # seeded relabellings, which search other trees
+    codes = []
+    for n in range(2, 8):
+        codes += random_codes(60, 800 + n, n=n, max_words=min(1 << n, 24))
+    symmetric = ([cycle_code(n) for n in range(3, 13)]
+                 + [hollow_triangles(k, False) for k in range(2, 6)]
+                 + [hollow_triangles(k, True) for k in (2, 3)]
+                 + [Code(n, range(1 << n)) for n in range(1, 7)])
+    rng = random.Random(9)
+    relabelled = []
+    for code in symmetric:
+        perm = list(range(1, code.n + 1))
+        rng.shuffle(perm)
+        relabelled.append(relabel_code(code, perm))
+    codes += edge_codes() + symmetric + relabelled + [parse_code(t) for t in PAPER]
+    for code in codes:
+        red = reduce_code(code).reduced
+        got, ref = search_and_reference(red.masks, red.n)
+        assert got == ref, format_code(code)
+
+
+def test_search_matches_reference_on_every_difference_labelling(monkeypatch):
+    real = enumeration._min_relabeling
+    calls = []
+
+    def checking(masks, n):
+        got, ref = search_and_reference(masks, n)
+        assert got == ref
+        calls.append(n)
+        return real(masks, n)
+
+    monkeypatch.setattr(enumeration, "_min_relabeling", checking)
+    cf, df, ef = (parse_code(t) for t in PAPER[:3])
+    assert len(image_set_difference(cf, [df, ef])) == 4
+    assert len(calls) == 1540
+
+
+@pytest.mark.parametrize("code, nodes", [(hollow_triangles(7, False), 253),
+                                         (cycle_code(16), 63),
+                                         (hollow_triangles(4, True), 61)],
+                         ids=["7 triangles", "16-cycle", "4 triangles+vertices"])
+def test_search_node_counts_pinned(code, nodes):
+    # without the automorphisms of tied leaves the search visits 41098 nodes
+    # on the 7 triangles and 497 on the cycle; if words with one unlabelled
+    # neuron did not compete for the free labels in the bound, it would visit
+    # 62109 on the 4 triangles with vertex words
+    red = reduce_code(code).reduced
+    _min_relabeling(red.masks, red.n, nodes)
+    with pytest.raises(ResourceCapError):
+        _min_relabeling(red.masks, red.n, nodes - 1)
+
+
+def test_search_node_cap_refuses_quickly():
+    code = hollow_triangles(10, True)
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match="cap of 50 nodes"):
+        canonical_form(code, max_nodes=50)
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(ResourceCapError):
+        is_isomorphic(code, code, max_nodes=50)
+    # the default cap and no cap both finish it (661 nodes)
+    assert canonical_form(code).code == canonical_form(code, max_nodes=None).code
