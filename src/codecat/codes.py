@@ -27,6 +27,8 @@ def word_mask(word: Iterable[int] | int, n: int | None = None) -> int:
     1..MAX_NEURONS when n is None.  A bad word raises ValueError.
     """
     width = MAX_NEURONS if n is None else n
+    if type(word) is int and word >= 0 and not word >> width:
+        return word
     if isinstance(word, int):
         if isinstance(word, bool):
             raise ValueError(f"codeword must be neuron indices or an int mask, got {word!r}")
@@ -51,6 +53,13 @@ def word_mask(word: Iterable[int] | int, n: int | None = None) -> int:
 
 def _limit(n: int | None) -> str:
     return f"the cap of {MAX_NEURONS}" if n is None else f"declared n={n}"
+
+
+def _check_n(n) -> None:
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"neuron count must be an int, got {n!r}")
+    if n < 0 or n > MAX_NEURONS:
+        raise ValueError(f"neuron count must be in 0..{MAX_NEURONS}, got {n}")
 
 
 def mask_members(mask: int) -> tuple[int, ...]:
@@ -86,14 +95,13 @@ class Code:
     __slots__ = ("n", "_mask_set", "_mask_list")
 
     def __init__(self, n: int, words: Iterable[Iterable[int] | int] = ()):
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ValueError(f"neuron count must be an int, got {n!r}")
-        if n < 0 or n > MAX_NEURONS:
-            raise ValueError(f"neuron count must be in 0..{MAX_NEURONS}, got {n}")
+        _check_n(n)
         self.n = n
+        # Copied from a set, a frozenset's table is sized to fit; built from
+        # an iterator, it keeps the slack of every resize.
         masks = {word_mask(w, n) for w in words}
         self._mask_set = frozenset(masks)
-        self._mask_list = tuple(sorted(masks, key=_word_key))
+        self._mask_list = None  # sorted on first use of masks
 
     @classmethod
     def from_words(cls, words: Iterable[Iterable[int] | int]) -> "Code":
@@ -104,6 +112,8 @@ class Code:
     @property
     def masks(self) -> tuple[int, ...]:
         """Codeword bitmasks in the deterministic (cardinality, lex) order."""
+        if self._mask_list is None:
+            self._mask_list = tuple(sorted(self._mask_set, key=_word_key))
         return self._mask_list
 
     @property
@@ -112,7 +122,7 @@ class Code:
 
     @property
     def words(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(mask_members(m)) for m in self._mask_list)
+        return tuple(frozenset(mask_members(m)) for m in self.masks)
 
     def contains(self, word: Iterable[int]) -> bool:
         """Set membership; malformed or out-of-range words are simply absent."""
@@ -199,7 +209,22 @@ def _json_list(value, what: str) -> list:
 def _words_from_json_lists(data, declared: int | None) -> Code:
     if not isinstance(data, list) or not all(isinstance(w, list) for w in data):
         raise ValueError("JSON code must be a list of lists of neuron indices")
-    return Code.from_words(data) if declared is None else Code(declared, data)
+    if declared is not None:
+        _check_n(declared)
+    width = MAX_NEURONS if declared is None else declared
+    masks = []
+    for w in data:
+        mask = 0
+        for i in w:
+            if type(i) is not int or not 0 < i <= width:
+                # The whole word again, the slow way: the usual error, or an
+                # int subclass such as an IntEnum, which is accepted.
+                mask = word_mask(w, declared)
+                break
+            mask |= 1 << (i - 1)
+        masks.append(mask)
+    n = max(masks, default=0).bit_length() if declared is None else declared
+    return Code(n, masks)
 
 
 def parse_code(value: str | dict) -> Code:

@@ -6,6 +6,7 @@ import random
 from collections.abc import Collection
 
 from codecat import Code, irreducible_trunks, simple_trunks
+from codecat.codes import MAX_NEURONS
 
 
 def random_code(rng: random.Random, n: int, max_words: int,
@@ -213,3 +214,21 @@ def min_relabeling_by_swaps(masks: Collection[int], n: int):
     canon = [sum(1 << (best_perm[o] - 1) for o in range(n) if m >> o & 1)
              for m in masks]
     return canon, best_perm
+
+
+def tuple_word_key(mask: int) -> tuple[int, tuple[int, ...]]:
+    """The package's word order spelled out: size, then the sorted 1-based
+    members compared lexicographically.  Reference for the order of
+    Code.masks."""
+    members = tuple(i + 1 for i in range(MAX_NEURONS) if mask >> i & 1)
+    return (len(members), members)
+
+
+def code_from_json_lists_by_word_mask(data, declared: int | None) -> Code:
+    """A code from the word lists of a JSON code, each word read by
+    codes.word_mask inside Code, as the JSON reader once did.  Reference for
+    codes._words_from_json_lists, which reads the indices itself and falls
+    back to word_mask only on a word it does not accept."""
+    if not isinstance(data, list) or not all(isinstance(w, list) for w in data):
+        raise ValueError("JSON code must be a list of lists of neuron indices")
+    return Code.from_words(data) if declared is None else Code(declared, data)

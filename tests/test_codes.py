@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from codecat import Code, MAX_NEURONS, code_to_obj, format_code, parse_code
 from codecat.codes import mask_members, word_mask
 
-from helpers import random_codes
+from helpers import random_codes, tuple_word_key
 
 
 def test_word_mask_roundtrip():
@@ -123,3 +124,53 @@ def test_roundtrip_random():
         shuffled = list(c.masks)
         rng.shuffle(shuffled)
         assert Code(c.n, shuffled) == c
+
+
+def seeded_codes_on_every_n() -> list[tuple[int, list[int]]]:
+    rng = random.Random(5)
+    out = []
+    for n in range(MAX_NEURONS + 1):
+        for _ in range(4):
+            out.append((n, [rng.getrandbits(n) for _ in range(rng.randint(0, 12))]))
+    return out
+
+
+def test_masks_follow_the_tuple_word_key():
+    for n, words in seeded_codes_on_every_n():
+        c = Code(n, words)
+        assert c.masks == tuple(sorted(c.mask_set, key=tuple_word_key)), (n, words)
+
+
+ACCESSORS = {
+    "eq": lambda c, twin: c == twin,
+    "hash": hash,
+    "words": lambda c: c.words,
+    "iter": list,
+    "len": len,
+    "format_code": lambda c: format_code(c, "json"),
+    "format_code compact": lambda c: format_code(c) if c.n <= 9 else None,
+    "code_to_obj": code_to_obj,
+    "repr": lambda c: repr(c) if c.n <= 9 else None,
+    "pickle": lambda c: pickle.loads(pickle.dumps(c)).masks,
+}
+
+
+@pytest.mark.parametrize("name", ACCESSORS)
+def test_word_order_on_first_use_changes_no_result(name):
+    get = ACCESSORS[name]
+    for n, words in seeded_codes_on_every_n():
+        fresh, primed, twin = Code(n, words), Code(n, words), Code(n, words[::-1])
+        assert primed.masks is primed.masks  # ordered once, then kept
+        args = (twin,) if name == "eq" else ()
+        assert get(fresh, *args) == get(primed, *args), (n, words)
+
+
+def test_a_code_pickles_before_and_after_its_words_are_ordered():
+    for n, words in seeded_codes_on_every_n()[::7]:
+        fresh, primed = Code(n, words), Code(n, words)
+        assert primed.masks is primed.masks
+        for c in (fresh, primed):
+            again = pickle.loads(pickle.dumps(c))
+            assert again == c and hash(again) == hash(c)
+            assert again.masks == c.masks
+            assert again.words == c.words

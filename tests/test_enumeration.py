@@ -227,6 +227,25 @@ def test_cache_hit_keeps_its_own_inputs_witness(tmp_path):
     assert cached_enumerate(relabeled, tmp_path).source == canonical_form(relabeled)
 
 
+def test_cache_entry_and_hit_match_the_uncached_census(tmp_path):
+    # The entry is the census's JSON form, byte for byte, and a hit gives
+    # back the uncached images in order, with the same words in the same
+    # order and the same text.
+    reference = enumerate_reduced_images(CF)
+    miss = cached_enumerate(CF, tmp_path)
+    (path,) = tmp_path.glob("images-*.json")
+    assert path.read_text() == json.dumps(image_set_to_obj(miss))
+    relabeled = Code(CF.n, [[6 - i for i in w] for w in CF.words])
+    for code in (CF, relabeled):
+        hit = cached_enumerate(code, tmp_path)
+        assert hit.stats == miss.stats
+        assert hit.images == reference.images
+        assert [c.masks for c in hit.images] == [c.masks for c in reference.images]
+        assert ([format_code(c) for c in hit.images]
+                == [format_code(c) for c in reference.images])
+        assert hit.source == canonical_form(code)
+
+
 def test_difference_uses_cache_dir(tmp_path):
     d5 = parse_code("{12,34,1,3,0}")
     diff = image_set_difference(d5, [C5], cache_dir=tmp_path)

@@ -1,8 +1,12 @@
 """Every public function that takes a codeword reads it through
 codes.word_mask: the int mask and the index list of one word give the same
 result, and a bool, a negative mask or a mask wider than the allowed neurons
-is refused with ValueError (Code.contains answers False instead)."""
+is refused with ValueError (Code.contains answers False instead).  The
+JSON code reader reads plain indices itself; it must accept, and refuse
+with the same message, exactly what word_mask does."""
 
+import enum
+import json
 import random
 from types import SimpleNamespace
 
@@ -11,10 +15,10 @@ import pytest
 from codecat import (Code, MAX_NEURONS, Morphism, RingElement, SimplicialComplex,
                      all_trunks, evaluate_monomial, indicator, is_trunk, link,
                      morphism_to_monomial_map, restriction_morphism, simplicial_complex,
-                     trunk_of, union_morphism)
-from codecat.codes import mask_members
+                     parse_code, trunk_of, union_morphism)
+from codecat.codes import _words_from_json_lists, mask_members
 
-from helpers import random_code
+from helpers import code_from_json_lists_by_word_mask, random_code
 
 N = 5
 
@@ -121,3 +125,71 @@ def test_a_word_neither_int_nor_iterable_is_refused(bad):
     code = Code(2, [[1], []])
     assert code.contains(bad) is False
     assert bad not in code
+
+
+class Neuron(enum.IntEnum):
+    FIRST = 1
+    THIRD = 3
+
+
+def json_word_cases() -> list[list]:
+    """Word lists for the JSON reader: every kind of bad index, alone and
+    after a good one, duplicates, the empty word, and seeded random words on
+    n = 0..64 neurons."""
+    bad = [True, False, 1.0, "1", [1], None, 0, -1, 65, MAX_NEURONS + 1]
+    cases = [[[]], [], [[1, 1]], [[2, 1, 2], []], [[1, 2], [2, 1]]]
+    cases += [[[i]] for i in bad] + [[[1, i]] for i in bad] + [[[2], [1, i]] for i in bad]
+    rng = random.Random(9)
+    for n in range(MAX_NEURONS + 1):
+        for _ in range(3):
+            cases.append([rng.sample(range(1, n + 1), rng.randint(0, n))
+                          for _ in range(rng.randint(0, 6))])
+    return cases
+
+
+def declared_ns(words: list) -> list[int]:
+    """n values to declare with a word list: the smallest that holds it,
+    one too small, one larger, and the bounds."""
+    top = max((i for w in words for i in w if type(i) is int), default=0)
+    return sorted({0, max(top - 1, 0), top, top + 1, MAX_NEURONS} & set(range(MAX_NEURONS + 1)))
+
+
+def test_json_reader_matches_word_mask_reference():
+    for words in json_word_cases():
+        expect = outcome(lambda: code_from_json_lists_by_word_mask(words, None))
+        text = json.dumps(words)
+        assert outcome(lambda: parse_code(text)) == expect, text
+        assert outcome(lambda: _words_from_json_lists(words, None)) == expect, text
+        for n in declared_ns(words):
+            expect = outcome(lambda: code_from_json_lists_by_word_mask(words, n))
+            obj = {"n": n, "words": words}
+            assert outcome(lambda: parse_code(f"n={n} {text}")) == expect, (n, text)
+            assert outcome(lambda: parse_code(obj)) == expect, obj
+            assert outcome(lambda: parse_code(json.dumps(obj))) == expect, obj
+
+
+@pytest.mark.parametrize("words, n, message", [
+    ([[True]], None, "neuron index must be a positive int, got True"),
+    ([[1, 1.0]], 3, "neuron index must be a positive int, got 1.0"),
+    ([[1], ["1"]], None, "neuron index must be a positive int, got '1'"),
+    ([[None]], 2, "neuron index must be a positive int, got None"),
+    ([[3]], 2, "neuron index 3 exceeds declared n=2"),
+    ([[65]], None, f"neuron index 65 exceeds the cap of {MAX_NEURONS}"),
+    ([[1]], 65, f"neuron count must be in 0..{MAX_NEURONS}, got 65"),
+    ([[1]], -1, f"neuron count must be in 0..{MAX_NEURONS}, got -1"),
+])
+def test_json_reader_messages(words, n, message):
+    with pytest.raises(ValueError) as info:
+        _words_from_json_lists(words, n)
+    assert str(info.value) == message
+
+
+def test_json_reader_accepts_an_int_subclass_index():
+    words = [[Neuron.FIRST, Neuron.THIRD], [2, Neuron.FIRST], [Neuron.THIRD]]
+    expect = Code(3, [[1, 3], [1, 2], [3]])
+    for n in (None, 3):
+        assert code_from_json_lists_by_word_mask(words, n) == expect
+        assert _words_from_json_lists(words, n) == expect
+    assert parse_code({"n": 3, "words": words}) == expect
+    with pytest.raises(ValueError, match="neuron index 3 exceeds declared n=2"):
+        _words_from_json_lists(words, 2)
