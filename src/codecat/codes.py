@@ -41,10 +41,13 @@ def word_mask(word: Iterable[int] | int, n: int | None = None) -> int:
     mask = 0
     try:
         for i in word:
-            if not isinstance(i, int) or isinstance(i, bool) or i < 1:
-                raise ValueError(f"neuron index must be a positive int, got {i!r}")
-            if i > width:
-                raise ValueError(f"neuron index {i} exceeds {_limit(n)}")
+            if type(i) is not int or not 0 < i <= width:
+                # The full checks, only for an index the fast test refuses:
+                # the usual error, or an int subclass such as an IntEnum.
+                if not isinstance(i, int) or isinstance(i, bool) or i < 1:
+                    raise ValueError(f"neuron index must be a positive int, got {i!r}")
+                if i > width:
+                    raise ValueError(f"neuron index {i} exceeds {_limit(n)}")
             mask |= 1 << (i - 1)
     except TypeError:  # from iterating word; with an int n the checks raise none
         raise ValueError(f"codeword must be neuron indices or an int mask, got {word!r}") from None
@@ -53,13 +56,6 @@ def word_mask(word: Iterable[int] | int, n: int | None = None) -> int:
 
 def _limit(n: int | None) -> str:
     return f"the cap of {MAX_NEURONS}" if n is None else f"declared n={n}"
-
-
-def _check_n(n) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"neuron count must be an int, got {n!r}")
-    if n < 0 or n > MAX_NEURONS:
-        raise ValueError(f"neuron count must be in 0..{MAX_NEURONS}, got {n}")
 
 
 def mask_members(mask: int) -> tuple[int, ...]:
@@ -95,7 +91,10 @@ class Code:
     __slots__ = ("n", "_mask_set", "_mask_list")
 
     def __init__(self, n: int, words: Iterable[Iterable[int] | int] = ()):
-        _check_n(n)
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"neuron count must be an int, got {n!r}")
+        if n < 0 or n > MAX_NEURONS:
+            raise ValueError(f"neuron count must be in 0..{MAX_NEURONS}, got {n}")
         self.n = n
         # Copied from a set, a frozenset's table is sized to fit; built from
         # an iterator, it keeps the slack of every resize.
@@ -209,22 +208,7 @@ def _json_list(value, what: str) -> list:
 def _words_from_json_lists(data, declared: int | None) -> Code:
     if not isinstance(data, list) or not all(isinstance(w, list) for w in data):
         raise ValueError("JSON code must be a list of lists of neuron indices")
-    if declared is not None:
-        _check_n(declared)
-    width = MAX_NEURONS if declared is None else declared
-    masks = []
-    for w in data:
-        mask = 0
-        for i in w:
-            if type(i) is not int or not 0 < i <= width:
-                # The whole word again, the slow way: the usual error, or an
-                # int subclass such as an IntEnum, which is accepted.
-                mask = word_mask(w, declared)
-                break
-            mask |= 1 << (i - 1)
-        masks.append(mask)
-    n = max(masks, default=0).bit_length() if declared is None else declared
-    return Code(n, masks)
+    return Code.from_words(data) if declared is None else Code(declared, data)
 
 
 def parse_code(value: str | dict) -> Code:

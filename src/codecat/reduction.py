@@ -130,7 +130,6 @@ def _min_relabeling(masks: Collection[int], n: int,
     Raises ResourceCapError once the search would visit more than max_nodes
     nodes; None removes the cap.
     """
-    masks = tuple(masks)
     full = (1 << n) - 1
     keys = [(m.bit_count() << n) | full for m in masks]
     holders = [[w for w, m in enumerate(masks) if m >> o & 1] for o in range(n)]
@@ -147,11 +146,10 @@ def _min_relabeling(masks: Collection[int], n: int,
             keys[w] ^= bit
 
     def mirrored(a: int, b: int) -> bool:
-        # Does swapping neurons a and b fix the code?  Only the words that
-        # hold exactly one of them move.
+        # Does swapping neurons a and b fix the code?
         ab = (1 << a) | (1 << b)
-        return all(masks[w] ^ ab in mask_set for w in holders[a] + holders[b]
-                   if (masks[w] >> a ^ masks[w] >> b) & 1)
+        return all((m ^ ab if (m >> a ^ m >> b) & 1 else m) in mask_set
+                   for m in masks)
 
     def orbits(fixed: int) -> list[int]:
         # The least neuron of each neuron's orbit under the automorphisms

@@ -224,11 +224,27 @@ def tuple_word_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (len(members), members)
 
 
-def code_from_json_lists_by_word_mask(data, declared: int | None) -> Code:
+def mask_by_full_checks(word: list, n: int | None) -> int:
+    """The bitmask of a list of neuron indices, every index checked in full
+    as codes.word_mask did before its plain-int fast test.  Reference for
+    that fast test: same mask, or the same ValueError message."""
+    width = MAX_NEURONS if n is None else n
+    limit = f"the cap of {MAX_NEURONS}" if n is None else f"declared n={n}"
+    mask = 0
+    for i in word:
+        if not isinstance(i, int) or isinstance(i, bool) or i < 1:
+            raise ValueError(f"neuron index must be a positive int, got {i!r}")
+        if i > width:
+            raise ValueError(f"neuron index {i} exceeds {limit}")
+        mask |= 1 << (i - 1)
+    return mask
+
+
+def code_from_json_lists_by_full_checks(data, declared: int | None) -> Code:
     """A code from the word lists of a JSON code, each word read by
-    codes.word_mask inside Code, as the JSON reader once did.  Reference for
-    codes._words_from_json_lists, which reads the indices itself and falls
-    back to word_mask only on a word it does not accept."""
+    mask_by_full_checks.  Reference for codes._words_from_json_lists."""
     if not isinstance(data, list) or not all(isinstance(w, list) for w in data):
         raise ValueError("JSON code must be a list of lists of neuron indices")
-    return Code.from_words(data) if declared is None else Code(declared, data)
+    masks = [mask_by_full_checks(w, declared) for w in data]
+    n = max(masks, default=0).bit_length() if declared is None else declared
+    return Code(n, masks)

@@ -1,9 +1,10 @@
 """Every public function that takes a codeword reads it through
 codes.word_mask: the int mask and the index list of one word give the same
 result, and a bool, a negative mask or a mask wider than the allowed neurons
-is refused with ValueError (Code.contains answers False instead).  The
-JSON code reader reads plain indices itself; it must accept, and refuse
-with the same message, exactly what word_mask does."""
+is refused with ValueError (Code.contains answers False instead).
+word_mask takes a plain in-range index after one test; through the JSON
+code reader it must accept, and refuse with the same message, exactly what
+the full checks of every index do."""
 
 import enum
 import json
@@ -18,7 +19,7 @@ from codecat import (Code, MAX_NEURONS, Morphism, RingElement, SimplicialComplex
                      parse_code, trunk_of, union_morphism)
 from codecat.codes import _words_from_json_lists, mask_members
 
-from helpers import code_from_json_lists_by_word_mask, random_code
+from helpers import code_from_json_lists_by_full_checks, random_code
 
 N = 5
 
@@ -154,14 +155,14 @@ def declared_ns(words: list) -> list[int]:
     return sorted({0, max(top - 1, 0), top, top + 1, MAX_NEURONS} & set(range(MAX_NEURONS + 1)))
 
 
-def test_json_reader_matches_word_mask_reference():
+def test_json_reader_matches_the_full_checks():
     for words in json_word_cases():
-        expect = outcome(lambda: code_from_json_lists_by_word_mask(words, None))
+        expect = outcome(lambda: code_from_json_lists_by_full_checks(words, None))
         text = json.dumps(words)
         assert outcome(lambda: parse_code(text)) == expect, text
         assert outcome(lambda: _words_from_json_lists(words, None)) == expect, text
         for n in declared_ns(words):
-            expect = outcome(lambda: code_from_json_lists_by_word_mask(words, n))
+            expect = outcome(lambda: code_from_json_lists_by_full_checks(words, n))
             obj = {"n": n, "words": words}
             assert outcome(lambda: parse_code(f"n={n} {text}")) == expect, (n, text)
             assert outcome(lambda: parse_code(obj)) == expect, obj
@@ -188,7 +189,7 @@ def test_json_reader_accepts_an_int_subclass_index():
     words = [[Neuron.FIRST, Neuron.THIRD], [2, Neuron.FIRST], [Neuron.THIRD]]
     expect = Code(3, [[1, 3], [1, 2], [3]])
     for n in (None, 3):
-        assert code_from_json_lists_by_word_mask(words, n) == expect
+        assert code_from_json_lists_by_full_checks(words, n) == expect
         assert _words_from_json_lists(words, n) == expect
     assert parse_code({"n": 3, "words": words}) == expect
     with pytest.raises(ValueError, match="neuron index 3 exceeds declared n=2"):
