@@ -247,11 +247,12 @@ def parse_code(value: str | dict) -> Code:
 
 
 def _display_masks(code: Code) -> list[int]:
-    return sorted(code.masks, key=_display_key)
+    # _display_key is a total order, so the word set needs no sort before it.
+    return sorted(code.mask_set, key=_display_key)
 
 
 def _needs_prefix(code: Code) -> bool:
-    return max(code.masks, default=0).bit_length() != code.n
+    return max(code.mask_set, default=0).bit_length() != code.n
 
 
 def format_code(code: Code, style: str = "compact") -> str:
@@ -263,7 +264,7 @@ def format_code(code: Code, style: str = "compact") -> str:
     if style not in ("compact", "json"):
         raise ValueError(f"unknown style {style!r}")
     prefix = f"n={code.n} " if _needs_prefix(code) else ""
-    if not code.masks:
+    if not code.mask_set:
         return prefix + "[]"
     if style == "json":
         body = json.dumps([list(mask_members(m)) for m in _display_masks(code)],

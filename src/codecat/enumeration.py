@@ -16,16 +16,24 @@ canonicalized (they are already reduced) and deduplicated by canonical form.
 The walk carries the image of every source word down the tree: choosing
 the trunk at depth d sets bit d in the images of its words, and backing out
 clears it, so a node's image is read off without revisiting its trunks.
-Canonical forms come from a labelling cache keyed by (k, image words).  One
-cache serves every census of an image_set_difference call, the cached ones
-that miss included, and each process-pool worker keeps one for the subtrees
-it runs; no cache outlives its call or its pool.
+Canonical forms come from a labelling cache keyed by (k, image words).  An
+image the cache lacks is looked up a second time under its invariant key:
+the image relabelled so that its neurons are sorted by the sizes of the
+words that hold them, the vertex-invariant refinement step of
+individualise-and-refine labelling (McKay and Piperno, 2014).  The key is
+itself a relabelling of the image, so images with one key are isomorphic
+and share a canonical form, and isomorphic images reached through other
+trunks often share the key; only an image that misses both lookups is
+searched.  One cache serves every census of an image_set_difference call,
+the cached ones that miss included, and each process-pool worker keeps one
+for the subtrees it runs; no cache outlives its call or its pool.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 import time
@@ -108,12 +116,54 @@ def _image_signature(images: list[int]) -> frozenset[int]:
     return frozenset(images)
 
 
+def _invariant_key(m: int, masks: frozenset[int]) -> tuple[int, frozenset[int]]:
+    """(m, words) of the code on 1..m given by masks, relabelled so that its
+    neurons are sorted by the sorted sizes of the words that hold them,
+    ties kept in their old order.
+
+    The sort key is an isomorphism invariant, so isomorphic codes often get
+    one key; and the key is a relabelling of the code, so it always has the
+    code's canonical form."""
+    held: list[list[int]] = [[] for _ in range(m)]
+    for w in masks:
+        size = w.bit_count()
+        while w:
+            low = w & -w
+            held[low.bit_length() - 1].append(size)
+            w ^= low
+    for sizes in held:
+        sizes.sort()
+    bits = [0] * m
+    for new, o in enumerate(sorted(range(m), key=held.__getitem__)):
+        bits[o] = 1 << new
+    relabelled = []
+    for w in masks:
+        v = 0
+        while w:
+            low = w & -w
+            v |= bits[low.bit_length() - 1]
+            w ^= low
+        relabelled.append(v)
+    return m, frozenset(relabelled)
+
+
 def _canonical_of_reduced_masks(m: int, masks: frozenset[int],
                                 cache: dict) -> Code:
-    """Canonical form of an already-reduced code given by masks on 1..m."""
+    """Canonical form of an already-reduced code given by masks on 1..m.
+
+    cache maps (m, masks) keys to canonical forms.  When the code's own key
+    misses, its invariant key is looked up, and the lex-min search runs only
+    if that misses too; the answer is then stored under both keys.  This is
+    sound because every key in the cache is a relabelling of each code
+    stored under it: two codes with one key are isomorphic, so they have the
+    same canonical form."""
     hit = cache.get((m, masks))
     if hit is None:
-        hit = cache[(m, masks)] = Code(m, _min_relabeling(masks, m)[0])
+        key = _invariant_key(m, masks)
+        hit = cache.get(key)
+        if hit is None:
+            hit = cache[key] = Code(m, _min_relabeling(masks, m)[0])
+        cache[(m, masks)] = hit
     return hit
 
 
@@ -271,8 +321,11 @@ def image_set_to_obj(s: ImageSet) -> dict:
 def image_set_from_obj(obj: dict) -> ImageSet:
     st = obj["stats"]
     stats = EnumerationStats(st["explored"], st["pruned"], st["wall_time"])
-    if not all(type(v) in (int, float) for v in vars(stats).values()):
-        raise ValueError(f"enumeration stats must be numbers, got {st!r}")
+    wall = stats.wall_time
+    if not (all(type(v) is int and v >= 0 for v in (stats.explored, stats.pruned))
+            and type(wall) in (int, float) and 0 <= wall < math.inf):
+        raise ValueError("enumeration stats must be two counts and a finite "
+                         f"time, none negative, got {st!r}")
     code = parse_code(obj["source"])
     witness = _json_list(obj["source_witness"], '"source_witness"')
     if (not all(type(i) is int for i in witness)

@@ -141,6 +141,20 @@ def test_masks_follow_the_tuple_word_key():
         assert c.masks == tuple(sorted(c.mask_set, key=tuple_word_key)), (n, words)
 
 
+def test_printing_a_code_leaves_its_words_unordered():
+    # printing sorts the word set by the display order alone, which is
+    # total, so the text is the one that sorting masks first gave
+    for n, words in seeded_codes_on_every_n():
+        fresh = Code(n, words)
+        obj, text = code_to_obj(fresh), format_code(fresh, "json")
+        if n <= 9:
+            format_code(fresh)
+        assert fresh._mask_list is None, (n, words)
+        shown = sorted((sorted(w) for w in fresh.words), key=lambda w: (-len(w), w))
+        assert obj == {"n": n, "words": shown}
+        assert text.endswith(json.dumps(shown, separators=(",", ":")))
+
+
 ACCESSORS = {
     "eq": lambda c, twin: c == twin,
     "hash": hash,

@@ -11,7 +11,8 @@ from codecat import (Code, ResourceCapError, all_trunks, canonical_form,
                      image_set_to_obj, is_isomorphic, is_reduced, parse_code,
                      verify_image_membership)
 
-from helpers import (image_signature, induced_image_words, random_codes,
+from helpers import (cycle_code, edge_codes, hollow_triangles, image_signature,
+                     induced_image_words, min_relabeling_by_swaps, random_codes,
                      stays_irredundant_by_pairs)
 
 C5 = parse_code("{12,23,1,3,0}")
@@ -207,12 +208,19 @@ def test_cache_recovers_from_corruption(tmp_path):
     (path,) = tmp_path.glob("images-*.json")
     good = json.loads(path.read_text())
     emptied = dict(good, images=[])
-    bad_stats = dict(good, stats={"explored": [1], "pruned": 5, "wall_time": "slow"})
+    bad_stats = [dict(good, stats=dict(good["stats"], **{field: value}))
+                 for field, value in [("explored", [1]), ("explored", -3),
+                                      ("explored", True), ("explored", 2.0),
+                                      ("pruned", 2.5), ("pruned", -1),
+                                      ("wall_time", "slow"), ("wall_time", -1),
+                                      ("wall_time", False), ("wall_time", float("nan")),
+                                      ("wall_time", float("inf"))]]
+    bad_stats.append(dict(good, stats={"explored": -3, "pruned": 2.5, "wall_time": -1}))
     other = image_set_to_obj(enumerate_reduced_images(parse_code("{12,34,1,3,0}")))
     letters = dict(good, source_witness="abc")
     repeated = dict(good, source_witness=[9, 9, 9])
     for entry in ["{ not json", "[1,2]", "null", '"text"', "7",
-                  json.dumps(emptied), json.dumps(other), json.dumps(bad_stats),
+                  json.dumps(emptied), json.dumps(other), *map(json.dumps, bad_stats),
                   json.dumps(letters), json.dumps(repeated), "[" * 50000]:
         path.write_text(entry)
         again = cached_enumerate(C5, tmp_path)
@@ -297,17 +305,43 @@ def test_membership_walk_stops_at_target_size(monkeypatch):
     assert max(depths) == canonical_form(c2).code.n == 5
 
 
+def key_faults(key, codes) -> list[str]:
+    """The codes whose key is not (m, words) of a relabelling of them: the
+    same m and word count, and the same canonical masks by the reference
+    search."""
+    faults = []
+    for code in codes:
+        m, words = key(code.n, code.mask_set)
+        if (m != code.n or len(words) != len(code)
+                or sorted(min_relabeling_by_swaps(list(words), m)[0])
+                != sorted(min_relabeling_by_swaps(list(code.mask_set), m)[0])):
+            faults.append(format_code(code, "json"))
+    return faults
+
+
+def test_invariant_key_is_a_relabelling():
+    codes = edge_codes() + [cycle_code(n) for n in range(3, 10)]
+    codes += [hollow_triangles(k, v) for k in (1, 2, 3) for v in (False, True)]
+    for n in range(9):
+        codes += random_codes(30, 900 + n, n=n, max_words=min(1 << n, 20))
+    assert key_faults(enumeration._invariant_key, codes) == []
+    # an invariant that is not a relabelling is caught
+    sizes = lambda m, masks: (m, sorted(w.bit_count() for w in masks))  # noqa: E731
+    assert len(key_faults(sizes, codes)) > len(codes) // 2
+
+
 def test_difference_shares_one_labelling_cache(monkeypatch):
-    # the three censuses need 407 + 1373 + 378 lex-min searches on their
-    # own, but only 1540 distinct (k, signature) pairs between them
+    # the three censuses need 213 + 858 + 168 lex-min searches on their
+    # own, but only 902 between them: their 1540 distinct (k, signature)
+    # pairs fall into 902 invariant keys
     searches = count_calls(monkeypatch, "_min_relabeling")
-    for code, alone in [(CF, 407), (DF, 1373), (EF, 378)]:
+    for code, alone in [(CF, 213), (DF, 858), (EF, 168)]:
         searches.clear()
         enumerate_reduced_images(code)
         assert len(searches) == alone
     searches.clear()
     assert len(image_set_difference(CF, [DF, EF])) == 4
-    assert len(searches) == 1540
+    assert len(searches) == 902
 
 
 def test_difference_shares_its_labelling_cache_with_cache_misses(tmp_path, monkeypatch):
@@ -317,7 +351,7 @@ def test_difference_shares_its_labelling_cache_with_cache_misses(tmp_path, monke
     assert image_set_difference(CF, [DF, EF], cache_dir=tmp_path) == uncached
     # the three misses share the call's cache; the canonical forms that key
     # the entries search through reduction's own name, not counted here
-    assert len(searches) == 1540
+    assert len(searches) == 902
 
 
 def test_word_images_match_reference_at_every_node(monkeypatch):
@@ -395,9 +429,9 @@ def test_subtree_jobs_share_a_cache_only_in_a_worker(monkeypatch):
     for _ in range(2):
         searches.clear()
         fresh = run_all()
-        assert len(searches) == 617
+        assert len(searches) == 419
     monkeypatch.setattr(enumeration, "_worker_labels", None)
     enumeration._start_worker()
     searches.clear()
     assert run_all() == fresh
-    assert len(searches) == 378 - 1
+    assert len(searches) == 168 - 1

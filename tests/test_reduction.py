@@ -240,19 +240,27 @@ def test_search_matches_swap_only_reference():
 
 
 def test_search_matches_reference_on_every_difference_labelling(monkeypatch):
-    real = enumeration._min_relabeling
-    calls = []
+    # every distinct (k, signature) request of the flagship difference: the
+    # search matches the reference on it, and so does the answer, whether a
+    # search or the invariant key gave it
+    real = enumeration._canonical_of_reduced_masks
+    answers = {}
 
-    def checking(masks, n):
-        got, ref = search_and_reference(masks, n)
-        assert got == ref
-        calls.append(n)
-        return real(masks, n)
+    def recording(m, masks, cache):
+        answers[(m, masks)] = answer = real(m, masks, cache)
+        return answer
 
-    monkeypatch.setattr(enumeration, "_min_relabeling", checking)
+    monkeypatch.setattr(enumeration, "_canonical_of_reduced_masks", recording)
+    searches = []
+    monkeypatch.setattr(enumeration, "_min_relabeling",
+                        lambda *args: searches.append(args) or _min_relabeling(*args))
     cf, df, ef = (parse_code(t) for t in PAPER[:3])
     assert len(image_set_difference(cf, [df, ef])) == 4
-    assert len(calls) == 1540
+    for (m, masks), answer in answers.items():
+        got, ref = search_and_reference(masks, m)
+        assert got == ref
+        assert answer == Code(m, ref[0])
+    assert (len(answers), len(searches)) == (1540, 902)
 
 
 @pytest.mark.parametrize("code, nodes", [(hollow_triangles(7, False), 253),
