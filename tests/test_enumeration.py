@@ -325,9 +325,11 @@ def test_invariant_key_is_a_relabelling():
     for n in range(9):
         codes += random_codes(30, 900 + n, n=n, max_words=min(1 << n, 20))
     assert key_faults(enumeration._invariant_key, codes) == []
-    # an invariant that is not a relabelling is caught
-    sizes = lambda m, masks: (m, sorted(w.bit_count() for w in masks))  # noqa: E731
-    assert len(key_faults(sizes, codes)) > len(codes) // 2
+
+    def word_sizes(m, masks):  # an invariant, but not a relabelling
+        return m, sorted(w.bit_count() for w in masks)
+
+    assert len(key_faults(word_sizes, codes)) > len(codes) // 2
 
 
 def test_difference_shares_one_labelling_cache(monkeypatch):
