@@ -237,8 +237,8 @@ def enumerate_reduced_images(code: Code, *, jobs: int = 1,
     """The set {canonical_form(image(f)) : f a morphism out of code}.
 
     Deterministic for a given input regardless of jobs; refuses codes whose
-    trunk family exceeds max_trunks.  _labels is the labelling cache
-    (k, signature) -> canonical code to use, for callers that run several
+    trunk family exceeds max_trunks.  _labels is the labelling cache of
+    _canonical_of_reduced_masks to use, for callers that run several
     censuses.
     """
     t0 = time.monotonic()

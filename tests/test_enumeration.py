@@ -334,8 +334,8 @@ def test_invariant_key_is_a_relabelling():
 
 def test_difference_shares_one_labelling_cache(monkeypatch):
     # the three censuses need 213 + 858 + 168 lex-min searches on their
-    # own, but only 902 between them: their 1540 distinct (k, signature)
-    # pairs fall into 902 invariant keys
+    # own, but only 902 between them: 638 of their 1540 distinct
+    # (k, signature) pairs are answered through an isomorphic image's key
     searches = count_calls(monkeypatch, "_min_relabeling")
     for code, alone in [(CF, 213), (DF, 858), (EF, 168)]:
         searches.clear()
