@@ -32,6 +32,9 @@ from .reduction import (DEFAULT_MAX_NODES, canonical_form, minimum_neuron_number
 from .topology import DEFAULT_FACE_CAP, local_obstruction_report
 from .trunks import all_trunks, irreducible_trunks, trunk_of, trunk_to_obj
 
+# The 9-neuron power set, the largest lattice the benchmark lists, has 513 trunks.
+DEFAULT_LISTED_TRUNKS = 4096
+
 
 # ---------------------------------------------------------------------------
 # argument parsing helpers
@@ -134,7 +137,7 @@ def _cmd_trunks(args) -> int:
         else:
             print(_fmt_masks(t.member_masks))
         return 0
-    ts = all_trunks(code)
+    ts = all_trunks(code, _max_trunks(args))
     if args.json:
         print(json.dumps([trunk_to_obj(t) for t in ts]))
         return 0
@@ -421,6 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("code")
     q.add_argument("--sigma", metavar="WORD",
                    help="only the trunk of this set of neurons")
+    q.add_argument("--max-trunks", type=int, default=DEFAULT_LISTED_TRUNKS, metavar="N",
+                   help="refuse to list more trunks than this, the empty trunk "
+                        "included; the lattice is closed from the n simple trunks "
+                        "and stops at the cap.  0 removes the cap (default %(default)s)")
     _add_json(q)
 
     q = cmd("irreducible", _cmd_irreducible, "list the irreducible trunks")

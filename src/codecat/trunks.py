@@ -2,10 +2,13 @@
 
 Trunks are the structure morphisms must preserve under preimage.  The family
 of all trunks of a code is closed under intersection and is generated by the
-simple trunks Tk(i) together with the whole code Tk(empty); the empty set is a
-trunk of every code.  A nonempty trunk is determined by its generator, the
-intersection of its members, so the family is built from the intersection
-closure of the codewords.
+simple trunks Tk(i) together with the whole code Tk(empty), since
+Tk(sigma) is the intersection of the Tk(i) for i in sigma; the empty set is a
+trunk of every code.  So the family is built as the intersection closure of
+those n + 1 sets, held as bitmasks of indices into code.masks, not of the |C|
+codewords.  A nonempty trunk is determined by its generator, the
+intersection of its members, which is the set of neurons whose simple trunks
+contain it.
 """
 
 from __future__ import annotations
@@ -97,54 +100,93 @@ def simple_trunks(code: Code) -> list[tuple[int, Trunk]]:
     return [(i, trunk_of(code, 1 << (i - 1))) for i in range(1, code.n + 1)]
 
 
-def _intersection_closure(masks: Iterable[int], cap: int | None = None) -> set[int]:
+def _intersection_closure(masks: Iterable[int], cap: int | None = None,
+                          zero_is_empty: bool = False) -> set[int]:
     """Every intersection of a nonempty subset of masks.
 
     After each word the set holds the intersections of the nonempty subsets
     of the words seen so far, so one pass costs O(|closure| * |masks|).  It
     only grows, so it raises ResourceCapError once it and the empty trunk exceed cap.
+    With zero_is_empty the masks are trunks, and a 0 in the set is the empty
+    trunk, counted once.
     """
     limit = float("inf") if cap is None else cap
     closed: set[int] = set()
     for w in masks:
         closed |= {g & w for g in closed}
         closed.add(w)
-        if len(closed) >= limit:
+        if len(closed) + (not zero_is_empty or 0 not in closed) > limit:
             break
-    if len(closed) >= limit:
+    if len(closed) + (not zero_is_empty or 0 not in closed) > limit:
         raise ResourceCapError(f"code has more trunks than the cap of {cap}; "
                                "raise max_trunks to enumerate anyway")
     return closed
 
 
+def _simple_index_masks(code: Code) -> list[int]:
+    """Tk(i) for i = 1..n as bitmasks of indices into code.masks: bit k is
+    set iff code.masks[k] holds neuron i.  Each is read from a base-2 string,
+    so the build is O(n * |C|); summing 1 << k into a big int is quadratic."""
+    last_first = code.masks[::-1]
+    return [int("0" + "".join(["1" if w >> i & 1 else "0" for w in last_first]), 2)
+            for i in range(code.n)]
+
+
+def _generator(simple: list[int], t: int) -> int:
+    """The neurons whose simple trunks contain the index mask t."""
+    return sum(1 << i for i, s in enumerate(simple) if s & t == t)
+
+
 def _trunk_family_masksets(code: Code, cap: int | None = None) -> dict[int, int]:
     """The trunk lattice: every nonempty trunk, as {generator mask:
     Tk(generator)} with the trunk's member set a bitmask of indices into
-    code.masks.  cap bounds the trunk count as in _intersection_closure.
+    code.masks.  cap bounds the trunk count, the empty trunk included, as in
+    _intersection_closure.
 
-    The generator of a nonempty trunk is the intersection of its members, and
-    every intersection of codewords generates its own trunk, so the
-    generators are exactly the intersection closure of the codewords (the
-    concept intents of formal concept analysis).
+    Every nonempty trunk Tk(g) is the whole code intersected with the simple
+    trunks Tk(i), i in g, so the trunks are exactly the intersection closure
+    of those n + 1 sets (the attribute extents of formal concept analysis).
+    That costs O(|L| * n) for a lattice L, against O(|L| * |C|) for the
+    closure of the codewords.  The generator of a trunk is the largest g with
+    Tk(g) equal to it: the neurons whose simple trunks contain it.
     """
-    words = code.masks
-    return {g: sum(1 << k for k, w in enumerate(words) if w & g == g)
-            for g in _intersection_closure(words, cap)}
+    simple = _simple_index_masks(code)
+    closed = _intersection_closure(simple + [(1 << len(code.masks)) - 1], cap,
+                                   zero_is_empty=True)
+    closed.discard(0)
+    return {_generator(simple, t): t for t in closed}
+
+
+def _bit_indices(t: int) -> list[int]:
+    """The positions of the set bits of t, ascending."""
+    bits = bin(t)[:1:-1]
+    out = []
+    k = bits.find("1")
+    while k >= 0:
+        out.append(k)
+        k = bits.find("1", k + 1)
+    return out
 
 
 def _index_members(words: tuple[int, ...], t: int) -> frozenset[int]:
     """The word masks named by a bitmask t of indices into words."""
-    return frozenset(w for k, w in enumerate(words) if t >> k & 1)
+    return frozenset(words[k] for k in _bit_indices(t))
 
 
-def all_trunks(code: Code) -> list[Trunk]:
+def all_trunks(code: Code, max_trunks: int | None = None) -> list[Trunk]:
     """Every distinct trunk of the code, the whole code and the empty trunk
-    included, in a deterministic (size, member list) order."""
-    out = [Trunk(_index_members(code.masks, t), g)
-           for g, t in _trunk_family_masksets(code).items()]
-    out.append(Trunk(frozenset()))
-    out.sort(key=Trunk.sort_key)
-    return out
+    included, in a deterministic (size, member list) order: Trunk.sort_key.
+
+    Raises ResourceCapError if the code has more than max_trunks trunks.
+    code.masks is in word order, so a trunk's ascending word indices sort
+    like its sorted member words.
+    """
+    words = code.masks
+    indexed = [(_bit_indices(t), g)
+               for g, t in _trunk_family_masksets(code, max_trunks).items()]
+    indexed.sort(key=lambda e: (len(e[0]), e[0]))
+    return [Trunk(frozenset())] + [Trunk(frozenset(words[k] for k in idx), g)
+                                   for idx, g in indexed]
 
 
 def is_trunk(code: Code, subset: Iterable) -> bool:
@@ -169,20 +211,27 @@ def irreducible_trunks(code: Code) -> list[Trunk]:
     """Nonempty proper trunks that are not intersections of strictly larger
     trunks, ordered by generator (lexicographic on sorted members).
 
-    Larger trunks have smaller generators, and Tk(a) & Tk(b) = Tk(a | b).  So
-    Tk(g) is the intersection of its strict supersets iff the union u of the
-    generators strictly inside g has Tk(u) = Tk(g).  The generator of Tk(u)
-    lies between u and g; unless it is g it is a generator strictly inside g,
-    hence u itself.  So Tk(g) is irreducible iff u is a generator other than g.
+    No lattice is needed.  A trunk Tk(g) is the intersection of the simple
+    trunks Tk(i), i in g; if each of them strictly contains Tk(g), it is an
+    intersection of strictly larger trunks.  So every irreducible trunk is a
+    simple trunk Tk(i).  The trunks strictly containing Tk(i) are
+    intersections of simple trunks strictly containing it, or the whole code,
+    so Tk(i) is irreducible iff the whole code intersected with those simple
+    trunks is not Tk(i).  That is O(n^2) tests on word-index masks.
     """
-    lattice = _trunk_family_masksets(code)
-    out = []
-    for g, t in lattice.items():
-        u = 0
-        for h in lattice:
-            if h != g and h & g == h:
-                u |= h
-        if u != g and u in lattice:
-            out.append(Trunk(_index_members(code.masks, t), g))
+    words = code.masks
+    full = (1 << len(words)) - 1
+    simple = _simple_index_masks(code)
+    found = {}
+    for t in simple:
+        if not t or t == full or t in found:
+            continue
+        meet = full
+        for s in simple:
+            if s & t == t and s != t:
+                meet &= s
+        if meet != t:
+            found[t] = _generator(simple, t)
+    out = [Trunk(_index_members(words, t), g) for t, g in found.items()]
     out.sort(key=lambda tr: mask_members(tr.generator_mask))
     return out

@@ -5,8 +5,8 @@ import itertools
 import random
 from collections.abc import Collection
 
-from codecat import Code, irreducible_trunks, simple_trunks
-from codecat.codes import MAX_NEURONS
+from codecat import Code, ResourceCapError, Trunk
+from codecat.codes import MAX_NEURONS, mask_members
 
 
 def random_code(rng: random.Random, n: int, max_words: int,
@@ -59,14 +59,68 @@ def brute_trunk_family(code: Code) -> set[frozenset[int]]:
     return out
 
 
+def power_set_with_copy(n: int) -> Code:
+    """The power set on [n] with neuron n+1 a copy of neuron 1."""
+    return Code(n + 1, [w | (w & 1) << n for w in range(1 << n)])
+
+
+def trunk_family_by_codewords(code: Code, cap: int | None = None) -> dict[int, int]:
+    """{generator mask: word-index mask of Tk(generator)} for every nonempty
+    trunk, from the intersection closure of the codewords, each trunk found
+    by scanning every word.  Refuses, as the library does, when the trunks
+    and the empty trunk number more than cap.  Reference for
+    trunks._trunk_family_masksets, which closes the simple trunks instead."""
+    closed: set[int] = set()
+    for w in code.masks:
+        closed |= {g & w for g in closed}
+        closed.add(w)
+    if cap is not None and len(closed) + 1 > cap:
+        raise ResourceCapError(f"{len(closed) + 1} trunks exceed the cap of {cap}")
+    return {g: sum(1 << k for k, w in enumerate(code.masks) if w & g == g)
+            for g in closed}
+
+
+def all_trunks_by_codewords(code: Code) -> list[Trunk]:
+    """Every trunk, decoded by scanning every word and sorted by
+    Trunk.sort_key.  Reference for all_trunks."""
+    out = [Trunk(frozenset(w for k, w in enumerate(code.masks) if t >> k & 1), g)
+           for g, t in trunk_family_by_codewords(code).items()]
+    out.append(Trunk(frozenset()))
+    out.sort(key=Trunk.sort_key)
+    return out
+
+
+def irreducible_trunks_by_lattice(code: Code) -> list[Trunk]:
+    """Irreducible trunks found on the whole lattice: Tk(g) is irreducible iff
+    the union u of the generators strictly inside g is a generator other than
+    g.  Reference for irreducible_trunks, which tests the simple trunks alone.
+
+    Larger trunks have smaller generators, and Tk(a) & Tk(b) = Tk(a | b).  So
+    Tk(g) is the intersection of its strict supersets iff Tk(u) = Tk(g).  The
+    generator of Tk(u) lies between u and g; unless it is g it is a
+    generator strictly inside g, hence u itself.
+    """
+    lattice = trunk_family_by_codewords(code)
+    out = []
+    for g, t in lattice.items():
+        u = 0
+        for h in lattice:
+            if h != g and h & g == h:
+                u |= h
+        if u != g and u in lattice:
+            out.append(Trunk(frozenset(w for k, w in enumerate(code.masks) if t >> k & 1), g))
+    out.sort(key=lambda tr: mask_members(tr.generator_mask))
+    return out
+
+
 def is_reduced_by_lattice(code: Code) -> bool:
     """i -> Tk(i) is injective onto exactly the irreducible trunks, checked
     on the whole trunk lattice.  Reference for is_reduced, which decides the
     same from trivial and redundant neurons alone."""
-    st = [t.member_masks for _, t in simple_trunks(code)]
+    st = [frozenset(m for m in code.mask_set if m >> i & 1) for i in range(code.n)]
     if any(not t for t in st) or len(set(st)) != len(st):
         return False
-    return set(st) == {t.member_masks for t in irreducible_trunks(code)}
+    return set(st) == {t.member_masks for t in irreducible_trunks_by_lattice(code)}
 
 
 def intersection_closure(code: Code) -> Code:

@@ -73,6 +73,24 @@ def test_trunks_all_json(capsys):
     assert {"generator": None, "members": []} in got
 
 
+# The complements of the singletons on 20 neurons: 20 words, and every set of
+# them is a trunk, so the lattice has 2^20 trunks.
+COSINGLETONS20 = json.dumps([[j for j in range(1, 21) if j != i] for i in range(1, 21)])
+
+
+def test_trunks_cap_is_exit_3(capsys):
+    rc, out, err = run(capsys, "trunks", COSINGLETONS20)
+    assert rc == 3 and out == ""
+    assert err.startswith("error:") and "4096" in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    # {12,23,1,3,0} has 7 trunks, the empty trunk included; 0 lifts the cap
+    rc, out, err = run(capsys, "trunks", "{12,23,1,3,0}", "--max-trunks", "6")
+    assert rc == 3 and out == "" and err.startswith("error:")
+    rc, capped, _ = run(capsys, "trunks", "{12,23,1,3,0}", "--max-trunks", "7")
+    rc0, uncapped, _ = run(capsys, "trunks", "{12,23,1,3,0}", "--max-trunks", "0")
+    assert rc == rc0 == 0 and capped == uncapped and len(capped.splitlines()) == 7
+
+
 def test_irreducible(capsys):
     rc, out, _ = run(capsys, "irreducible", "{12,23,1,3,0}")
     assert rc == 0

@@ -1,22 +1,26 @@
 """The trunk lattice against slow references.
 
-The library builds every trunk from the intersection closure of the
-codewords; these tests rebuild the same results from the 2^n sigma sweep
-and from pairwise intersection closure, on seeded random codes and on the
-edge cases of helpers.edge_codes.
+The library builds every trunk from the intersection closure of the n simple
+trunks and the whole code, as word-index masks, and finds the irreducible
+trunks among the simple trunks without the lattice.  These tests rebuild the
+same results from the intersection closure of the codewords (the library's
+former construction), from the 2^n sigma sweep and from pairwise
+intersection closure, on seeded random codes, power sets with and without a
+copied neuron, and the edge cases of helpers.edge_codes.
 """
 
 from functools import reduce
 
 import pytest
 
-from codecat import (Code, ResourceCapError, all_trunks_have_unique_minimum,
+from codecat import (Code, ResourceCapError, all_trunks, all_trunks_have_unique_minimum,
                      irreducible_trunks, is_max_intersection_complete)
 from codecat.enumeration import _index_pool
-from codecat.trunks import _intersection_closure
+from codecat.trunks import _intersection_closure, _trunk_family_masksets
 
-from helpers import (brute_trunk_family, edge_codes, intersection_closure,
-                     random_codes)
+from helpers import (all_trunks_by_codewords, brute_trunk_family, edge_codes,
+                     intersection_closure, irreducible_trunks_by_lattice,
+                     power_set_with_copy, random_codes, trunk_family_by_codewords)
 
 
 def lattice_inputs():
@@ -40,6 +44,24 @@ def test_index_pool_matches_direct_sweep_in_order():
         _index_pool(code, len(family))  # the cap counts every trunk
         with pytest.raises(ResourceCapError):
             _index_pool(code, len(family) - 1)
+
+
+def test_lattice_matches_codeword_closure_reference():
+    codes = [c for n in range(11)
+             for c in random_codes(12, 300 + n, n=n, max_words=min(1 << n, 24))]
+    codes += edge_codes() + [Code(n, range(1 << n)) for n in range(11)]
+    codes += [power_set_with_copy(n) for n in range(4, 11)]
+    for code in codes:
+        family = trunk_family_by_codewords(code)
+        assert _trunk_family_masksets(code) == family
+        assert all_trunks(code) == all_trunks_by_codewords(code)
+        assert irreducible_trunks(code) == irreducible_trunks_by_lattice(code)
+        total = len(family) + 1  # the empty trunk too
+        assert _trunk_family_masksets(code, total) == family
+        assert len(all_trunks(code, max_trunks=total)) == total
+        for refuse in (_trunk_family_masksets, trunk_family_by_codewords, all_trunks):
+            with pytest.raises(ResourceCapError):
+                refuse(code, total - 1)
 
 
 def test_trunk_cap_refuses_before_the_lattice_is_complete():

@@ -11,7 +11,7 @@ from codecat import (Code, ResourceCapError, canonical_form, enumeration, format
 from codecat.reduction import _min_relabeling
 
 from helpers import (cycle_code, edge_codes, hollow_triangles, is_reduced_by_lattice,
-                     min_relabeling_by_swaps, random_codes)
+                     min_relabeling_by_swaps, power_set_with_copy, random_codes)
 
 
 def relabel_code(code, perm):
@@ -95,6 +95,14 @@ def test_minimum_neuron_number_golden():
     vals = [minimum_neuron_number(parse_code(t))
             for t in ("{2,12}", "{0,2,3}", "{12,23,1,3,0}", "{12,34,1,3,0}")]
     assert vals == [1, 2, 3, 4]
+
+
+def test_copied_neuron_changes_no_canonical_form_or_minimum():
+    # a copy of neuron 1 is redundant, so reducing it away leaves the power set
+    for n in range(4, 11):
+        plain, copied = Code(n, range(1 << n)), power_set_with_copy(n)
+        assert canonical_form(copied).code == canonical_form(plain).code
+        assert minimum_neuron_number(copied) == minimum_neuron_number(plain) == n
 
 
 def test_canonical_matches_brute_force():

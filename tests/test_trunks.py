@@ -66,7 +66,8 @@ def test_all_trunks_matches_direct_sweep():
 
 
 def test_all_trunks_sorted_deterministically():
-    for code in random_codes(20, 5, n=4, max_words=6):
+    power_sets = [Code(n, range(1 << n)) for n in range(7, 10)]
+    for code in random_codes(20, 5, n=4, max_words=6) + edge_codes() + power_sets:
         ts = all_trunks(code)
         assert ts == sorted(ts, key=lambda t: t.sort_key())
 
