@@ -100,24 +100,23 @@ def simple_trunks(code: Code) -> list[tuple[int, Trunk]]:
     return [(i, trunk_of(code, 1 << (i - 1))) for i in range(1, code.n + 1)]
 
 
-def _intersection_closure(masks: Iterable[int], cap: int | None = None,
-                          zero_is_empty: bool = False) -> set[int]:
+def _intersection_closure(masks: Iterable[int], cap: int | None = None) -> set[int]:
     """Every intersection of a nonempty subset of masks.
 
-    After each word the set holds the intersections of the nonempty subsets
-    of the words seen so far, so one pass costs O(|closure| * |masks|).  It
-    only grows, so it raises ResourceCapError once it and the empty trunk exceed cap.
-    With zero_is_empty the masks are trunks, and a 0 in the set is the empty
-    trunk, counted once.
+    After each mask the set holds the intersections of the nonempty subsets
+    of the masks seen so far, so one pass costs O(|closure| * |masks|).  The
+    masks are trunks, and a 0 in the set is the empty trunk, counted once.
+    The set only grows, so it raises ResourceCapError once it and the empty
+    trunk exceed cap.
     """
     limit = float("inf") if cap is None else cap
     closed: set[int] = set()
     for w in masks:
         closed |= {g & w for g in closed}
         closed.add(w)
-        if len(closed) + (not zero_is_empty or 0 not in closed) > limit:
+        if len(closed) + (0 not in closed) > limit:
             break
-    if len(closed) + (not zero_is_empty or 0 not in closed) > limit:
+    if len(closed) + (0 not in closed) > limit:
         raise ResourceCapError(f"code has more trunks than the cap of {cap}; "
                                "raise max_trunks to enumerate anyway")
     return closed
@@ -130,11 +129,6 @@ def _simple_index_masks(code: Code) -> list[int]:
     last_first = code.masks[::-1]
     return [int("0" + "".join(["1" if w >> i & 1 else "0" for w in last_first]), 2)
             for i in range(code.n)]
-
-
-def _generator(simple: list[int], t: int) -> int:
-    """The neurons whose simple trunks contain the index mask t."""
-    return sum(1 << i for i, s in enumerate(simple) if s & t == t)
 
 
 def _trunk_family_masksets(code: Code, cap: int | None = None) -> dict[int, int]:
@@ -151,10 +145,9 @@ def _trunk_family_masksets(code: Code, cap: int | None = None) -> dict[int, int]
     Tk(g) equal to it: the neurons whose simple trunks contain it.
     """
     simple = _simple_index_masks(code)
-    closed = _intersection_closure(simple + [(1 << len(code.masks)) - 1], cap,
-                                   zero_is_empty=True)
+    closed = _intersection_closure(simple + [(1 << len(code.masks)) - 1], cap)
     closed.discard(0)
-    return {_generator(simple, t): t for t in closed}
+    return {sum(1 << i for i, s in enumerate(simple) if s & t == t): t for t in closed}
 
 
 def _bit_indices(t: int) -> list[int]:
@@ -222,7 +215,7 @@ def irreducible_trunks(code: Code) -> list[Trunk]:
     words = code.masks
     full = (1 << len(words)) - 1
     simple = _simple_index_masks(code)
-    found = {}
+    found = set()
     for t in simple:
         if not t or t == full or t in found:
             continue
@@ -231,7 +224,7 @@ def irreducible_trunks(code: Code) -> list[Trunk]:
             if s & t == t and s != t:
                 meet &= s
         if meet != t:
-            found[t] = _generator(simple, t)
-    out = [Trunk(_index_members(words, t), g) for t, g in found.items()]
+            found.add(t)
+    out = [Trunk(_index_members(words, t)) for t in found]
     out.sort(key=lambda tr: mask_members(tr.generator_mask))
     return out

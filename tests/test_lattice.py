@@ -65,18 +65,19 @@ def test_lattice_matches_codeword_closure_reference():
 
 
 def test_trunk_cap_refuses_before_the_lattice_is_complete():
-    # the power set on 12 neurons has 4096 trunks; a cap of 24 must stop the
-    # closure after a few dozen words, not after all 4096
+    # 4096 pairwise disjoint trunks, as word-index masks, meet only in the
+    # empty trunk; a cap of 24 must stop the closure after 24 of them, not
+    # after all 4096
     read = []
 
-    def words():
-        for w in range(1 << 12):
-            read.append(w)
-            yield w
+    def trunks():
+        for k in range(1 << 12):
+            read.append(k)
+            yield 1 << k
 
     with pytest.raises(ResourceCapError, match="raise max_trunks"):
-        _intersection_closure(words(), cap=24)
-    assert len(read) == 24  # 24 generators and the empty trunk are 25 trunks
+        _intersection_closure(trunks(), cap=24)
+    assert len(read) == 24  # 24 trunks and the empty trunk, counted once, are 25
     with pytest.raises(ResourceCapError, match="raise max_trunks"):
         _index_pool(Code(12, range(1 << 12)), 24)
 
