@@ -8,7 +8,7 @@ so the images stay disjoint, with an option to adjoin the empty word.
 from __future__ import annotations
 
 from .codes import Code
-from .trunks import _intersection_closure, _trunk_family_masksets
+from .trunks import _trunk_family_masksets
 
 
 def _shift(mask: int, by: int) -> int:
@@ -57,7 +57,18 @@ def all_trunks_have_unique_minimum(code: Code) -> bool:
 
 
 def is_max_intersection_complete(code: Code) -> bool:
-    """Contains every intersection of a nonempty set of maximal codewords."""
+    """Contains every intersection of a nonempty set of maximal codewords.
+
+    The maximal words are closed in one at a time, and the first
+    intersection that is not a codeword answers no, so the closure never
+    holds more than the code's words."""
     masks = code.mask_set
     maximal = [m for m in masks if not any(o != m and o & m == m for o in masks)]
-    return _intersection_closure(maximal) <= masks
+    closed: set[int] = set()
+    for w in maximal:
+        met = {g & w for g in closed}
+        if not met <= masks:
+            return False
+        closed |= met
+        closed.add(w)
+    return True

@@ -24,9 +24,20 @@ individualise-and-refine labelling (McKay and Piperno, 2014).  The key is
 itself a relabelling of the image, so images with one key are isomorphic
 and share a canonical form, and isomorphic images reached through other
 trunks often share the key; only an image that misses both lookups is
-searched.  One cache serves every census of an image_set_difference call,
-the cached ones that miss included, and each process-pool worker keeps one
-for the subtrees it runs; no cache outlives its call or its pool.
+searched.  One cache serves every census and walk of an
+image_set_difference call, the cached censuses that miss included, and each
+process-pool worker keeps one for the subtrees it runs; no cache outlives
+its call or its pool.
+
+A query that only needs to know whether some node matches a target rules
+nodes out first by a cheaper isomorphism invariant, _filter_key: the word
+count and the sorted per-neuron lists of held-word sizes.  It is not a
+relabelling, so it never keys the cache.  verify_image_membership
+canonicalises only the nodes whose filter key is the target's, and an
+uncached image_set_difference walks each baseline against the target
+images not yet covered, canonicalising only the nodes whose filter key
+names one of them; with a cache directory every census stays full,
+because a miss writes a whole entry.
 """
 
 from __future__ import annotations
@@ -116,14 +127,9 @@ def _image_signature(images: list[int]) -> frozenset[int]:
     return frozenset(images)
 
 
-def _invariant_key(m: int, masks: frozenset[int]) -> tuple[int, frozenset[int]]:
-    """(m, words) of the code on 1..m given by masks, relabelled so that its
-    neurons are sorted by the sorted sizes of the words that hold them,
-    ties kept in their old order.
-
-    The sort key is an isomorphism invariant, so isomorphic codes often get
-    one key; and the key is a relabelling of the code, so it always has the
-    code's canonical form."""
+def _held_sizes(m: int, masks: frozenset[int]) -> list[list[int]]:
+    """For each neuron of the code on 1..m given by masks, the sorted sizes
+    of the words that hold it."""
     held: list[list[int]] = [[] for _ in range(m)]
     for w in masks:
         size = w.bit_count()
@@ -133,6 +139,18 @@ def _invariant_key(m: int, masks: frozenset[int]) -> tuple[int, frozenset[int]]:
             w ^= low
     for sizes in held:
         sizes.sort()
+    return held
+
+
+def _invariant_key(m: int, masks: frozenset[int]) -> tuple[int, frozenset[int]]:
+    """(m, words) of the code on 1..m given by masks, relabelled so that its
+    neurons are sorted by the sorted sizes of the words that hold them,
+    ties kept in their old order.
+
+    The sort key is an isomorphism invariant, so isomorphic codes often get
+    one key; and the key is a relabelling of the code, so it always has the
+    code's canonical form."""
+    held = _held_sizes(m, masks)
     bits = [0] * m
     for new, o in enumerate(sorted(range(m), key=held.__getitem__)):
         bits[o] = 1 << new
@@ -145,6 +163,16 @@ def _invariant_key(m: int, masks: frozenset[int]) -> tuple[int, frozenset[int]]:
             w ^= low
         relabelled.append(v)
     return m, frozenset(relabelled)
+
+
+def _filter_key(m: int, masks: frozenset[int]) -> tuple:
+    """(m, word count, the sorted per-neuron lists of _held_sizes) of the
+    code on 1..m given by masks.
+
+    An isomorphism invariant but not a relabelling: isomorphic codes always
+    share it, codes that share it need not be isomorphic.  It only rules
+    codes out, so it never keys the labelling cache."""
+    return m, len(masks), tuple(sorted(map(tuple, _held_sizes(m, masks))))
 
 
 def _canonical_of_reduced_masks(m: int, masks: frozenset[int],
@@ -269,8 +297,11 @@ def verify_image_membership(source: Code, target: Code,
     exists; None otherwise.  The witness is the first hit in the fixed
     enumeration order.  Irredundant k trunks give a reduced image on k
     neurons, so only nodes with as many trunks as the reduced target has
-    neurons are canonicalised, and the walk goes no deeper."""
+    neurons are looked at, and the walk goes no deeper.  Of those, only the
+    nodes whose _filter_key is the target's are canonicalised: the others
+    cannot be isomorphic to it."""
     target = canonical_form(target).code
+    want = _filter_key(target.n, target.mask_set)
     words, pool = _index_pool(source, max_trunks)
     images = [0] * len(words)
     labels: dict = {}
@@ -278,22 +309,71 @@ def verify_image_membership(source: Code, target: Code,
     for chosen in nodes:
         if len(chosen) == target.n:
             sig = _image_signature(images)
-            if _canonical_of_reduced_masks(target.n, sig, labels) == target:
+            if (len(sig) == len(target) and _filter_key(target.n, sig) == want
+                    and _canonical_of_reduced_masks(target.n, sig, labels) == target):
                 return Morphism(source, tuple(Trunk(_index_members(words, t)) for t in chosen))
     return None
+
+
+def _cover(code: Code, uncovered: dict[tuple, set[Code]], labels: dict,
+           max_trunks: int | None) -> None:
+    """Remove from uncovered every image that is an image of code.
+
+    uncovered maps _filter_key values to canonical images; an emptied entry
+    is deleted.  The walk goes only as deep as the largest image left, and
+    a node is canonicalised only when its filter key names an entry, since
+    no other node can be isomorphic to an image left; it stops once
+    uncovered is empty.  The trunk cap is checked even then."""
+    words, pool = _index_pool(code, max_trunks)
+    if not uncovered:
+        return
+    shapes = {key[:2] for key in uncovered}
+    depth = max(m for m, _, _ in uncovered)
+    images = [0] * len(words)
+    for chosen in _walk(pool, _trunk_words(len(words), pool), [], images, 0, [0, 0], depth):
+        sig = _image_signature(images)
+        k = len(chosen)
+        if (k, len(sig)) not in shapes:
+            continue
+        key = _filter_key(k, sig)
+        left = uncovered.get(key)
+        if left is None:
+            continue
+        left.discard(_canonical_of_reduced_masks(k, sig, labels))
+        if not left:
+            del uncovered[key]
+            if not uncovered:
+                return
+            shapes = {key[:2] for key in uncovered}
 
 
 def image_set_difference(target: Code, baselines: list[Code], *, jobs: int = 1,
                          max_trunks: int | None = DEFAULT_TRUNK_CAP,
                          cache_dir: Path | str | None = None) -> tuple[Code, ...]:
-    """Reduced images of target that are images of no baseline code.  The
-    censuses share one labelling cache."""
-    kw = {"jobs": jobs, "max_trunks": max_trunks, "_labels": {}}
-    mine = _enumerate_maybe_cached(target, cache_dir, **kw)
-    covered: set[Code] = set()
+    """Reduced images of target that are images of no baseline code, in the
+    order of target's census.
+
+    Every census and walk of one call shares one labelling cache.  Without
+    cache_dir, the target's census is full but each baseline is only walked
+    against the target images not yet covered (see _cover), so a baseline
+    image is canonicalised only when its filter key matches one of them.
+    With cache_dir every census is full, because a miss writes a whole
+    entry."""
+    labels: dict = {}
+    kw = {"jobs": jobs, "max_trunks": max_trunks, "_labels": labels}
+    mine = _enumerate_maybe_cached(target, cache_dir, **kw).images
+    if cache_dir is not None:
+        covered: set[Code] = set()
+        for b in baselines:
+            covered.update(cached_enumerate(b, cache_dir, **kw).images)
+        return tuple(c for c in mine if c not in covered)
+    uncovered: dict[tuple, set[Code]] = {}
+    for c in mine:
+        uncovered.setdefault(_filter_key(c.n, c.mask_set), set()).add(c)
     for b in baselines:
-        covered.update(_enumerate_maybe_cached(b, cache_dir, **kw).images)
-    return tuple(c for c in mine.images if c not in covered)
+        _cover(b, uncovered, labels, max_trunks)
+    left = set().union(*uncovered.values())
+    return tuple(c for c in mine if c in left)
 
 
 # ---------------------------------------------------------------------------

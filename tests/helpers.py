@@ -5,8 +5,11 @@ import itertools
 import random
 from collections.abc import Collection
 
-from codecat import Code, ResourceCapError, Trunk
+from codecat import (Code, Morphism, ResourceCapError, Trunk, canonical_form,
+                     enumerate_reduced_images)
 from codecat.codes import MAX_NEURONS, mask_members
+from codecat.enumeration import _canonical_of_reduced_masks, _index_pool, _trunk_words, _walk
+from codecat.trunks import _index_members
 
 
 def random_code(rng: random.Random, n: int, max_words: int,
@@ -29,6 +32,13 @@ def edge_codes() -> list[Code]:
     """Zero-word codes, the lone empty word, and the power sets n = 1..6."""
     return ([Code(0, []), Code(3, []), Code(0, [[]])]
             + [Code(n, range(1 << n)) for n in range(1, 7)])
+
+
+def random_relabelling(rng: random.Random, code: Code) -> Code:
+    """code with its neurons permuted at random."""
+    perm = list(range(1, code.n + 1))
+    rng.shuffle(perm)
+    return Code(code.n, [[perm[i - 1] for i in w] for w in code.words])
 
 
 def cycle_code(n: int) -> Code:
@@ -185,6 +195,38 @@ def image_signature(words_count: int, chosen) -> frozenset[int]:
                 img |= 1 << j
         out.add(img)
     return frozenset(out)
+
+
+def census_images(code: Code) -> tuple[Code, ...]:
+    return enumerate_reduced_images(code).images
+
+
+def difference_by_censuses(target: Code, baselines: list[Code],
+                           census=census_images) -> tuple[Code, ...]:
+    """The images in target's full census that are in no baseline's full
+    census; census(code) gives a code's census images.  Reference for
+    image_set_difference, which walks each baseline only for the target
+    images it has not yet covered."""
+    covered: set[Code] = set()
+    for b in baselines:
+        covered.update(census(b))
+    return tuple(c for c in census(target) if c not in covered)
+
+
+def membership_by_full_walk(source: Code, target: Code) -> Morphism | None:
+    """The first node of the walk, down to the reduced target's size, whose
+    image has the target's canonical form, canonicalising every node of
+    that size.  Reference for verify_image_membership, which canonicalises
+    only the nodes its filter key lets through."""
+    target = canonical_form(target).code
+    words, pool = _index_pool(source, None)
+    images = [0] * len(words)
+    labels: dict = {}
+    for chosen in _walk(pool, _trunk_words(len(words), pool), [], images, 0, [0, 0], target.n):
+        if (len(chosen) == target.n
+                and _canonical_of_reduced_masks(target.n, frozenset(images), labels) == target):
+            return Morphism(source, tuple(Trunk(_index_members(words, t)) for t in chosen))
+    return None
 
 
 def min_relabeling_by_swaps(masks: Collection[int], n: int):

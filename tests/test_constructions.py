@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -100,6 +101,17 @@ def test_max_intersection_complete_golden():
     assert not is_max_intersection_complete(c0)  # 145 meet 256 drops to {5}
     assert is_max_intersection_complete(parse_code("{12,34,1,3,0}"))
     assert is_max_intersection_complete(parse_code("{123}"))
+
+
+def test_max_intersection_complete_stops_at_the_first_miss():
+    # any two complements of singletons meet in a word the code lacks;
+    # closing all 2^24 of their intersections first takes seconds and
+    # gigabytes
+    n = 24
+    cosingletons = Code(n, [[j for j in range(1, n + 1) if j != i] for i in range(1, n + 1)])
+    start = time.perf_counter()
+    assert not is_max_intersection_complete(cosingletons)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_intersection_complete_implies_max_complete():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -9,16 +10,21 @@ from codecat import (Code, ResourceCapError, all_trunks, canonical_form,
                      cached_enumerate, enumerate_reduced_images, format_code,
                      image_set_difference, image_set_from_obj,
                      image_set_to_obj, is_isomorphic, is_reduced, parse_code,
-                     verify_image_membership)
+                     reduce_code, verify_image_membership)
 
-from helpers import (cycle_code, edge_codes, hollow_triangles, image_signature,
-                     induced_image_words, min_relabeling_by_swaps, random_codes,
+from helpers import (cycle_code, difference_by_censuses, edge_codes, hollow_triangles,
+                     image_signature, induced_image_words, membership_by_full_walk,
+                     min_relabeling_by_swaps, random_codes, random_relabelling,
                      stays_irredundant_by_pairs)
 
 C5 = parse_code("{12,23,1,3,0}")
 CF = parse_code("{2345,123,134,145,13,14,23,34,45,3,4,0}")
 DF = parse_code("{2345,234,345,123,134,145,13,14,23,34,45,3,4,0}")
 EF = parse_code("{2345,123,134,145,13,14,23,34,45,3,4,1,0}")
+PAPER_CODES = {"CF": CF, "DF": DF, "EF": EF,
+               "C0": parse_code("{3456,123,145,256,45,56,1,2,3,0}"),
+               "C1": parse_code("{1236,3456,145,256,26,36,45,56,1,6,0}"),
+               "C2": parse_code("{124,135,145,234,14,15,24,3,4,0}")}
 
 
 def oracle_images(code):
@@ -92,6 +98,9 @@ def test_trunk_cap_refusal():
     with pytest.raises(ResourceCapError):
         enumerate_reduced_images(full4, max_trunks=16)
     assert enumerate_reduced_images(full4, max_trunks=17).images
+    # a baseline over the cap refuses even when an earlier one covers all
+    with pytest.raises(ResourceCapError):
+        image_set_difference(C5, [C5, full4], max_trunks=16)
 
 
 def test_image_transitivity_spot_check():
@@ -113,10 +122,11 @@ def test_membership_witness_golden():
 def test_membership_witnesses_pinned_and_canonicalised_at_target_size(monkeypatch):
     # an irredundant set of k trunks gives a reduced image on k neurons, so
     # only nodes of the walk with as many trunks as the reduced target has
-    # neurons need a canonical form; the witness stays the first hit
-    cf = parse_code("{2345,123,134,145,13,14,23,34,45,3,4,0}")
-    c0 = parse_code("{3456,123,145,256,45,56,1,2,3,0}")
-    c1 = parse_code("{1236,3456,145,256,26,36,45,56,1,6,0}")
+    # neurons can match, and of those only the ones whose filter key is the
+    # target's: here the witness alone, where canonicalising every node of
+    # the target's size took 20 and 39 calls.  The witness stays the first
+    # hit
+    cf, c0, c1 = CF, PAPER_CODES["C0"], PAPER_CODES["C1"]
     calls = []
     real = enumeration._canonical_of_reduced_masks
 
@@ -126,8 +136,8 @@ def test_membership_witnesses_pinned_and_canonicalised_at_target_size(monkeypatc
 
     monkeypatch.setattr(enumeration, "_canonical_of_reduced_masks", counted)
     for source, target, generators, canonicalised in [
-            (cf, c1, [[3], [1], [1, 4], [2, 3], [3, 4], [4, 5]], 20),
-            (c1, c0, [[5], [1], [2, 6], [4, 5], [5, 6], [3, 6]], 39)]:
+            (cf, c1, [[3], [1], [1, 4], [2, 3], [3, 4], [4, 5]], 1),
+            (c1, c0, [[5], [1], [2, 6], [4, 5], [5, 6], [3, 6]], 1)]:
         calls.clear()
         w = verify_image_membership(source, target)
         assert [sorted(t.generator) for t in w.trunks] == generators
@@ -332,10 +342,82 @@ def test_invariant_key_is_a_relabelling():
     assert len(key_faults(word_sizes, codes)) > len(codes) // 2
 
 
+def test_filter_key_is_an_isomorphism_invariant():
+    # the filter rules a node out only when it cannot be isomorphic to an
+    # image left, so seeded relabellings of reduced codes keep their key,
+    # and relabelled inputs give the same difference
+    rng = random.Random(5)
+    codes = [hollow_triangles(k, v) for k in (1, 2, 3) for v in (False, True)]
+    codes += [cycle_code(n) for n in range(3, 10)]
+    for n in range(1, 9):
+        codes += [reduce_code(c).reduced
+                  for c in random_codes(30, 950 + n, n=n, max_words=min(1 << n, 20))]
+    for code in codes:
+        key = enumeration._filter_key(code.n, code.mask_set)
+        for _ in range(3):
+            other = random_relabelling(rng, code)
+            assert enumeration._filter_key(other.n, other.mask_set) == key, format_code(code)
+    flagship = image_set_difference(CF, [DF, EF])
+    for _ in range(3):
+        target, *baselines = (random_relabelling(rng, c) for c in (CF, DF, EF))
+        assert image_set_difference(target, baselines) == flagship
+
+
+@functools.cache
+def paper_census(code):
+    return enumerate_reduced_images(code).images
+
+
+@pytest.mark.parametrize("target", PAPER_CODES)
+def test_difference_matches_full_censuses_on_paper_codes(target):
+    # against every pair of the six paper codes, a code paired with itself
+    # and the target among its own baselines included
+    for pair in itertools.combinations_with_replacement(PAPER_CODES.values(), 2):
+        got = image_set_difference(PAPER_CODES[target], list(pair))
+        assert got == difference_by_censuses(PAPER_CODES[target], pair, paper_census)
+
+
+def test_membership_matches_full_walk_on_paper_codes():
+    # the same witness trunks as canonicalising every node of the target's
+    # size, on all 36 ordered pairs of the six paper codes
+    hits = 0
+    for source, target in itertools.product(PAPER_CODES.values(), repeat=2):
+        got, ref = verify_image_membership(source, target), membership_by_full_walk(source, target)
+        assert (got is None) == (ref is None)
+        if got is not None:
+            assert got.trunks == ref.trunks
+            hits += 1
+    assert hits == 11
+
+
+def test_filtered_paths_match_references_on_random_codes():
+    # on 4 neurons a code has at most 17 trunks, under the trunk cap
+    rng = random.Random(8)
+    codes = random_codes(40, 808, n=4, max_words=10)
+    for _ in range(40):
+        target, *baselines = rng.sample(codes, 3)
+        assert (image_set_difference(target, baselines)
+                == difference_by_censuses(target, baselines, paper_census))
+    hits = queries = 0
+    for source in codes[:15]:
+        images = paper_census(rng.choice(codes))
+        targets = [random_relabelling(rng, c) for c in rng.sample(images, min(len(images), 8))]
+        for target in targets + rng.sample(codes, 3):
+            got, ref = verify_image_membership(source, target), membership_by_full_walk(source, target)
+            assert (got is None) == (ref is None)
+            if got is not None:
+                assert got.trunks == ref.trunks
+                hits += 1
+            queries += 1
+    assert (hits, queries) == (49, 137)
+
+
 def test_difference_shares_one_labelling_cache(monkeypatch):
     # the three censuses need 213 + 858 + 168 lex-min searches on their
-    # own, but only 902 between them: 638 of their 1540 distinct
-    # (k, signature) pairs are answered through an isomorphic image's key
+    # own, and 902 between them when they share one cache (see the cached
+    # difference below).  The uncached difference runs CF's census, 213
+    # searches, and then canonicalises only the DF and EF images whose
+    # filter key matches a CF image not yet covered: 16 more searches
     searches = count_calls(monkeypatch, "_min_relabeling")
     for code, alone in [(CF, 213), (DF, 858), (EF, 168)]:
         searches.clear()
@@ -343,7 +425,7 @@ def test_difference_shares_one_labelling_cache(monkeypatch):
         assert len(searches) == alone
     searches.clear()
     assert len(image_set_difference(CF, [DF, EF])) == 4
-    assert len(searches) == 902
+    assert len(searches) == 229
 
 
 def test_difference_shares_its_labelling_cache_with_cache_misses(tmp_path, monkeypatch):

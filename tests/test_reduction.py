@@ -5,7 +5,7 @@ import time
 import pytest
 
 from codecat import (Code, ResourceCapError, canonical_form, enumeration, format_code,
-                     image_set_difference, is_isomorphic, is_reduced,
+                     is_isomorphic, is_reduced,
                      minimum_neuron_number, parse_code, permutation_morphism,
                      redundant_neurons, reduce_code, trivial_neurons)
 from codecat.reduction import _min_relabeling
@@ -248,9 +248,10 @@ def test_search_matches_swap_only_reference():
 
 
 def test_search_matches_reference_on_every_difference_labelling(monkeypatch):
-    # every distinct (k, signature) request of the flagship difference: the
-    # search matches the reference on it, and so does the answer, whether a
-    # search or the invariant key gave it
+    # every distinct (k, signature) request of the CF, DF and EF censuses
+    # sharing one labelling cache, as a difference with cache_dir runs
+    # them: the search matches the reference on it, and so does the answer,
+    # whether a search or the invariant key gave it
     real = enumeration._canonical_of_reduced_masks
     answers = {}
 
@@ -262,8 +263,10 @@ def test_search_matches_reference_on_every_difference_labelling(monkeypatch):
     searches = []
     monkeypatch.setattr(enumeration, "_min_relabeling",
                         lambda *args: searches.append(args) or _min_relabeling(*args))
-    cf, df, ef = (parse_code(t) for t in PAPER[:3])
-    assert len(image_set_difference(cf, [df, ef])) == 4
+    labels = {}
+    for text, count in zip(PAPER[:3], (178, 721, 133)):
+        census = enumeration.enumerate_reduced_images(parse_code(text), _labels=labels)
+        assert len(census.images) == count
     for (m, masks), answer in answers.items():
         got, ref = search_and_reference(masks, m)
         assert got == ref
