@@ -5,8 +5,7 @@ import itertools
 import random
 from collections.abc import Collection
 
-from codecat import (Code, Morphism, ResourceCapError, Trunk, canonical_form,
-                     enumerate_reduced_images)
+from codecat import Code, Morphism, ResourceCapError, Trunk, canonical_form
 from codecat.codes import MAX_NEURONS, mask_members
 from codecat.enumeration import _canonical_of_reduced_masks, _index_pool, _trunk_words, _walk
 from codecat.trunks import _index_members
@@ -197,14 +196,10 @@ def image_signature(words_count: int, chosen) -> frozenset[int]:
     return frozenset(out)
 
 
-def census_images(code: Code) -> tuple[Code, ...]:
-    return enumerate_reduced_images(code).images
-
-
-def difference_by_censuses(target: Code, baselines: list[Code],
-                           census=census_images) -> tuple[Code, ...]:
+def difference_by_censuses(target: Code, baselines: list[Code], census) -> tuple[Code, ...]:
     """The images in target's full census that are in no baseline's full
-    census; census(code) gives a code's census images.  Reference for
+    census; census(code) gives the images of code's census, from
+    enumerate_reduced_images or a memo of it.  Reference for
     image_set_difference, which walks each baseline only for the target
     images it has not yet covered."""
     covered: set[Code] = set()

@@ -364,7 +364,7 @@ def test_filter_key_is_an_isomorphism_invariant():
 
 
 @functools.cache
-def paper_census(code):
+def memo_census(code):
     return enumerate_reduced_images(code).images
 
 
@@ -374,7 +374,7 @@ def test_difference_matches_full_censuses_on_paper_codes(target):
     # and the target among its own baselines included
     for pair in itertools.combinations_with_replacement(PAPER_CODES.values(), 2):
         got = image_set_difference(PAPER_CODES[target], list(pair))
-        assert got == difference_by_censuses(PAPER_CODES[target], pair, paper_census)
+        assert got == difference_by_censuses(PAPER_CODES[target], pair, memo_census)
 
 
 def test_membership_matches_full_walk_on_paper_codes():
@@ -397,10 +397,10 @@ def test_filtered_paths_match_references_on_random_codes():
     for _ in range(40):
         target, *baselines = rng.sample(codes, 3)
         assert (image_set_difference(target, baselines)
-                == difference_by_censuses(target, baselines, paper_census))
+                == difference_by_censuses(target, baselines, memo_census))
     hits = queries = 0
     for source in codes[:15]:
-        images = paper_census(rng.choice(codes))
+        images = memo_census(rng.choice(codes))
         targets = [random_relabelling(rng, c) for c in rng.sample(images, min(len(images), 8))]
         for target in targets + rng.sample(codes, 3):
             got, ref = verify_image_membership(source, target), membership_by_full_walk(source, target)
