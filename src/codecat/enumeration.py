@@ -323,7 +323,8 @@ def _cover(code: Code, uncovered: dict[tuple, set[Code]], labels: dict,
     is deleted.  The walk goes only as deep as the largest image left, and
     a node is canonicalised only when its filter key names an entry, since
     no other node can be isomorphic to an image left; it stops once
-    uncovered is empty.  The trunk cap is checked even then."""
+    uncovered is empty.  The trunk cap is checked first, so a code over it
+    refuses even when uncovered is already empty."""
     words, pool = _index_pool(code, max_trunks)
     if not uncovered:
         return
