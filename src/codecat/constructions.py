@@ -8,7 +8,8 @@ so the images stay disjoint, with an option to adjoin the empty word.
 from __future__ import annotations
 
 from .codes import Code
-from .trunks import _trunk_family_masksets
+# Not called here; perfbench/spans.py wraps this name in this module.
+from .trunks import _trunk_family_masksets  # noqa: F401
 
 
 def _shift(mask: int, by: int) -> int:
@@ -52,8 +53,11 @@ def is_intersection_complete(code: Code) -> bool:
 def all_trunks_have_unique_minimum(code: Code) -> bool:
     """Trunk-side formulation of intersection completeness: every nonempty
     trunk has a unique minimal member.  The generator of a trunk lies inside
-    every member, so that member exists iff the generator is a codeword."""
-    return _trunk_family_masksets(code).keys() <= code.mask_set
+    every member, so that member exists iff the generator is a codeword.
+    The generators are exactly the intersections of nonempty sets of
+    codewords, and a code closed under pairwise intersections is closed
+    under all of them, so no trunk needs to be built."""
+    return is_intersection_complete(code)
 
 
 def is_max_intersection_complete(code: Code) -> bool:

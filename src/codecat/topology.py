@@ -7,6 +7,11 @@ non-contractible link (an obstruction of the first kind), collapsibility
 certifies a contractible one, and a collapsibility failure with trivial
 homology is an obstruction of the second kind with contractibility left
 open.  A code whose missing-face links are all collapsible is locally great.
+
+Every state of the collapse search is downward closed, so a face is free
+exactly when just one of its one-vertex covers is a face, and free faces are
+found from those lookups alone.  A complex whose facets share a vertex is a
+cone, hence contractible, so its homology needs no boundary rank.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from dataclasses import dataclass
 
 from .codes import Code, _display_key, _word_key, mask_members, word_mask
 from .exceptions import ResourceCapError
+from .trunks import _intersect_all
 
 DEFAULT_FACE_CAP = 1 << 20
 
@@ -108,14 +114,33 @@ def _is_simplex(faces: frozenset[int]) -> bool:
 
 def _free_pairs(faces: frozenset[int]) -> list[tuple[int, int]]:
     """(tau, F) with tau nonempty and properly contained in exactly the one
-    face F; ordered lowest dimension first, then lexicographically."""
+    face F; ordered lowest dimension first, then lexicographically.
+
+    faces is downward closed, so every proper coface of tau contains a
+    one-vertex cover tau | b that is a face.  Hence tau is free exactly when
+    just one such cover is a face: that cover F then has no cover F | c of its
+    own, which would make tau | c a second one.  Only the one-vertex covers,
+    over the bits of the union of the faces, are looked up.
+    """
+    union = 0
+    for f in faces:
+        union |= f
     out = []
     for tau in faces:
         if tau == 0:
             continue
-        over = [f for f in faces if f != tau and f & tau == tau]
-        if len(over) == 1:
-            out.append((tau, over[0]))
+        top = 0
+        rest = union & ~tau
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            if tau | b in faces:
+                if top:
+                    break  # a second cover: tau is not free
+                top = tau | b
+        else:
+            if top:
+                out.append((tau, top))
     out.sort(key=lambda p: _word_key(p[0]))
     return out
 
@@ -177,28 +202,35 @@ def f2_reduced_homology(k: SimplicialComplex, cap: int = DEFAULT_FACE_CAP) -> di
 
     Keys run from dimension -1 (the augmentation; rank 1 exactly for the
     empty-face-only complex) to the dimension of the complex.  The void
-    complex gives {}.
+    complex gives {}.  If the facets share a vertex the complex is a cone,
+    which is contractible, so every reduced Betti number is 0 and no rank is
+    taken; the faces are still listed first, so the face cap holds for
+    cones too.  A rank does not depend on row or column order, so the faces
+    of each dimension are indexed in the order they come.
     """
     if not k.facets:
         return {}
+    faces = k.face_masks(cap)
+    if _intersect_all(k.facets):
+        return dict.fromkeys(range(-1, k.dim() + 1), 0)
     by_dim: dict[int, list[int]] = {}
-    for f in k.face_masks(cap):
+    for f in faces:
         by_dim.setdefault(f.bit_count() - 1, []).append(f)
     top = max(by_dim)
-    index: dict[int, dict[int, int]] = {}
-    for d, fs in by_dim.items():
-        fs.sort(key=mask_members)
-        index[d] = {f: i for i, f in enumerate(fs)}
     ranks: dict[int, int] = {}
+    prev = {0: 0}  # index of the faces one dimension down
     for d in range(0, top + 1):
         rows = []
         for f in by_dim[d]:
             row = 0
-            for i in mask_members(f):
-                sub = f & ~(1 << (i - 1))
-                row |= 1 << index[d - 1][sub]
+            w = f
+            while w:
+                b = w & -w
+                w ^= b
+                row |= 1 << prev[f ^ b]
             rows.append(row)
         ranks[d] = _gf2_rank(rows)
+        prev = {f: i for i, f in enumerate(by_dim[d])}
     betti: dict[int, int] = {}
     for d in range(-1, top + 1):
         betti[d] = len(by_dim[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0)

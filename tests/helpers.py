@@ -4,9 +4,10 @@ failures replay exactly."""
 import itertools
 import random
 from collections.abc import Collection
+from unittest import mock
 
-from codecat import Code, Morphism, ResourceCapError, Trunk, canonical_form
-from codecat.codes import MAX_NEURONS, mask_members
+from codecat import Code, Morphism, ResourceCapError, Trunk, canonical_form, topology
+from codecat.codes import MAX_NEURONS, _word_key, mask_members
 from codecat.enumeration import _canonical_of_reduced_masks, _index_pool, _trunk_words, _walk
 from codecat.trunks import _index_members
 
@@ -339,3 +340,55 @@ def code_from_json_lists_by_full_checks(data, declared: int | None) -> Code:
     masks = [mask_by_full_checks(w, declared) for w in data]
     n = max(masks, default=0).bit_length() if declared is None else declared
     return Code(n, masks)
+
+
+def free_pairs_by_scan(faces: frozenset[int]) -> list[tuple[int, int]]:
+    """(tau, F) with tau nonempty and properly contained in exactly the one
+    face F, found by scanning every face for each tau; ordered by
+    _word_key of tau.  Reference for topology._free_pairs, which looks up
+    only the one-vertex covers."""
+    out = []
+    for tau in faces:
+        if tau == 0:
+            continue
+        over = [f for f in faces if f != tau and f & tau == tau]
+        if len(over) == 1:
+            out.append((tau, over[0]))
+    out.sort(key=lambda p: _word_key(p[0]))
+    return out
+
+
+def reduced_homology_by_ranks(k: topology.SimplicialComplex,
+                              cap: int = topology.DEFAULT_FACE_CAP) -> dict[int, int]:
+    """Reduced GF(2) Betti numbers from the ranks of boundary matrices whose
+    faces are indexed in sorted order, cones included.  Reference for
+    topology.f2_reduced_homology, which takes no rank for a cone."""
+    if not k.facets:
+        return {}
+    by_dim: dict[int, list[int]] = {}
+    for f in k.face_masks(cap):
+        by_dim.setdefault(f.bit_count() - 1, []).append(f)
+    top = max(by_dim)
+    index: dict[int, dict[int, int]] = {}
+    for d, fs in by_dim.items():
+        fs.sort(key=mask_members)
+        index[d] = {f: i for i, f in enumerate(fs)}
+    ranks: dict[int, int] = {}
+    for d in range(0, top + 1):
+        rows = []
+        for f in by_dim[d]:
+            row = 0
+            for i in mask_members(f):
+                row |= 1 << index[d - 1][f & ~(1 << (i - 1))]
+            rows.append(row)
+        ranks[d] = topology._gf2_rank(rows)
+    return {d: len(by_dim[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+            for d in range(-1, top + 1)}
+
+
+def obstruction_report_by_references(code: Code) -> topology.ObstructionReport:
+    """local_obstruction_report with free_pairs_by_scan and
+    reduced_homology_by_ranks in place of the fast versions."""
+    with mock.patch.object(topology, "_free_pairs", free_pairs_by_scan), \
+            mock.patch.object(topology, "f2_reduced_homology", reduced_homology_by_ranks):
+        return topology.local_obstruction_report(code)

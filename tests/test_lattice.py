@@ -114,3 +114,7 @@ def test_completeness_checks_match_references():
                    if not any(o != m and o & m == m for o in code.mask_set)]
         closed = intersection_closure(Code(code.n, maximal)).mask_set
         assert is_max_intersection_complete(code) == (closed <= code.mask_set)
+    # every set of the complements of the singletons is a trunk, so the
+    # lattice has 2^20 trunks; two of them meet in a set that is no word
+    cosingletons = Code(20, [[j for j in range(1, 21) if j != i] for i in range(1, 21)])
+    assert all_trunks_have_unique_minimum(cosingletons) is False

@@ -1,15 +1,18 @@
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
 
 from codecat import (Code, ResourceCapError, parse_code,
-                     local_obstruction_report, simplicial_complex)
+                     local_obstruction_report, simplicial_complex, topology)
+from codecat.cli import main
 from codecat.codes import word_mask
 from codecat.topology import (SimplicialComplex, f2_reduced_homology,
                               is_collapsible, link)
 
-from helpers import random_codes
+from helpers import (free_pairs_by_scan, obstruction_report_by_references,
+                     random_codes, reduced_homology_by_ranks)
 
 
 def complex_from(words, n):
@@ -148,11 +151,13 @@ def test_collapsibility_goldens():
     assert not is_collapsible(SimplicialComplex.from_masks(1, []))
 
 
+# two triangles glued along an edge, plus a dangling edge
+BACKTRACKING = complex_from([[1, 2, 3], [2, 3, 4], [4, 5]], 5)
+
+
 def test_collapsibility_needs_backtracking_sometimes():
-    # two triangles glued along an edge, plus a dangling edge: greedy
-    # collapses can strand the spare edge, full search still succeeds
-    k = complex_from([[1, 2, 3], [2, 3, 4], [4, 5]], 5)
-    assert is_collapsible(k)
+    # greedy collapses can strand the spare edge, full search still succeeds
+    assert is_collapsible(BACKTRACKING)
 
 
 def test_collapsibility_state_budget():
@@ -267,3 +272,70 @@ def test_report_entries_cover_every_missing_face():
 
 def frozenset_from_mask(m):
     return frozenset(i + 1 for i in range(m.bit_length()) if m >> i & 1)
+
+
+def seeded_complexes():
+    """Nonvoid complexes of seeded random codes on n = 0..8 neurons."""
+    out = []
+    for n in range(9):
+        for code in random_codes(12, 900 + n, n=n, max_words=6):
+            k = simplicial_complex(code)
+            if k.facets:
+                out.append(k)
+    return out
+
+
+def search_memo(faces, free_pairs, budget=300):
+    """The memo of a collapse search run with free_pairs, in insertion order;
+    a search that runs out of its state budget leaves the states it finished."""
+    memo = {}
+    with mock.patch.object(topology, "_free_pairs", free_pairs):
+        try:
+            topology._collapses_to_point(faces, memo, [budget])
+        except ResourceCapError:
+            pass
+    return list(memo.items())
+
+
+def test_free_pairs_match_the_scan_on_every_search_state():
+    dh = dunce_hat()
+    ks = seeded_complexes() + [SPHERE2, RP2, dh, cone(dh), BACKTRACKING]
+    states = 0
+    for k in ks:
+        faces = k.face_masks()
+        memo = search_memo(faces, topology._free_pairs)
+        assert memo == search_memo(faces, free_pairs_by_scan)
+        for state, _ in memo:
+            assert topology._free_pairs(state) == free_pairs_by_scan(state)
+        states += len(memo)
+    assert states > 1000
+
+
+def test_homology_matches_ranks_on_complexes_and_cones():
+    ks = seeded_complexes() + [SPHERE2, RP2, dunce_hat(),
+                               SimplicialComplex.from_masks(1, [0])]
+    for k in ks:
+        assert f2_reduced_homology(k) == reduced_homology_by_ranks(k)
+        c = cone(k)
+        assert f2_reduced_homology(c) == reduced_homology_by_ranks(c)
+    # {0} shares no vertex, so it is no cone; a lone vertex is one
+    assert f2_reduced_homology(SimplicialComplex.from_masks(1, [0])) == {-1: 1}
+    assert f2_reduced_homology(complex_from([[1]], 1)) == {-1: 0, 0: 0}
+
+
+def test_report_matches_the_reference_report():
+    rng = random.Random(913)
+    for _ in range(150):
+        n = rng.randint(0, 8)
+        code = Code(n, rng.sample(range(1 << n), rng.randint(1, min(10, 1 << n))))
+        assert local_obstruction_report(code) == obstruction_report_by_references(code)
+
+
+def test_cone_shortcut_keeps_the_face_cap(capsys):
+    simplex = complex_from([range(1, 22)], 21)  # a cone with 2^21 faces
+    with pytest.raises(ResourceCapError):
+        f2_reduced_homology(simplex)
+    rc = main(["local-obs", str([list(range(1, 23))])])
+    out = capsys.readouterr()
+    assert rc == 3 and out.out == ""
+    assert out.err.startswith("error:") and len(out.err.splitlines()) == 1
