@@ -38,6 +38,11 @@ uncached image_set_difference walks each baseline against the target
 images not yet covered, canonicalising only the nodes whose filter key
 names one of them; with a cache directory every census stays full,
 because a miss writes a whole entry.
+
+A cached census is one JSON file per canonical form of the source.  Its
+entry stores the source and each image as [n, *code.masks], so a hit
+rebuilds each code with one Code(n, masks) call instead of reading each
+word index by index; an entry that does not rebuild is recomputed.
 """
 
 from __future__ import annotations
@@ -59,8 +64,8 @@ from .trunks import Trunk, _index_members, _trunk_family_masksets
 
 DEFAULT_TRUNK_CAP = 24
 # Part of every cache file's name: a new format or canonical engine gets a
-# new version, so entries of an older one are never read.
-_CACHE_FORMAT = "codecat-images-2"
+# new version, so entries of an older one are never read (nor overwritten).
+_CACHE_FORMAT = "codecat-images-3"
 
 
 @dataclass(frozen=True)
@@ -389,17 +394,19 @@ def default_cache_dir() -> Path:
     return base / "codecat"
 
 
-def image_set_to_obj(s: ImageSet) -> dict:
+def _image_set_obj(s: ImageSet, encode) -> dict:
     return {
-        "source": code_to_obj(s.source.code),
+        "source": encode(s.source.code),
         "source_witness": list(s.source.witness),
-        "images": [code_to_obj(c) for c in s.images],
+        "images": [encode(c) for c in s.images],
         "stats": {"explored": s.stats.explored, "pruned": s.stats.pruned,
                   "wall_time": s.stats.wall_time},
     }
 
 
-def image_set_from_obj(obj: dict) -> ImageSet:
+def _image_set(obj: dict, decode) -> ImageSet:
+    """The ImageSet that _image_set_obj(s, encode) gave obj for, where decode
+    undoes encode; ValueError, KeyError or TypeError for a malformed obj."""
     st = obj["stats"]
     stats = EnumerationStats(st["explored"], st["pruned"], st["wall_time"])
     wall = stats.wall_time
@@ -407,21 +414,54 @@ def image_set_from_obj(obj: dict) -> ImageSet:
             and type(wall) in (int, float) and 0 <= wall < math.inf):
         raise ValueError("enumeration stats must be two counts and a finite "
                          f"time, none negative, got {st!r}")
-    code = parse_code(obj["source"])
+    code = decode(obj["source"])
     witness = _json_list(obj["source_witness"], '"source_witness"')
     if (not all(type(i) is int for i in witness)
             or sorted(witness) != list(range(1, code.n + 1))):
         raise ValueError(f'"source_witness" must be a permutation of 1..{code.n}')
     source = CanonicalForm(code, tuple(witness))
-    images = tuple(parse_code(o) for o in _json_list(obj["images"], '"images"'))
+    images = tuple(map(decode, _json_list(obj["images"], '"images"')))
     return ImageSet(source, images, stats)
+
+
+def image_set_to_obj(s: ImageSet) -> dict:
+    return _image_set_obj(s, code_to_obj)
+
+
+def image_set_from_obj(obj: dict) -> ImageSet:
+    return _image_set(obj, parse_code)
+
+
+def _pack_code(code: Code) -> list[int]:
+    return [code.n, *code.masks]
+
+
+def _unpack_code(packed) -> Code:
+    """The code _pack_code gave packed.  Code checks n and every mask, so a
+    bool or out-of-range n and a bool, negative or too-wide mask raise
+    ValueError, as does a packed value that is not a nonempty list."""
+    if type(packed) is not list or not packed:
+        raise ValueError("a cached code must be a nonempty list [n, *masks], "
+                         f"got {type(packed).__name__}")
+    return Code(packed[0], packed[1:])
+
+
+def _entry_text(s: ImageSet) -> str:
+    """The cache entry of a census: image_set_to_obj's keys, with the source
+    and each image packed as [n, *code.masks]."""
+    return json.dumps(_image_set_obj(s, _pack_code), separators=(",", ":"))
 
 
 def cached_enumerate(code: Code, cache_dir: Path | str, *, jobs: int = 1,
                      max_trunks: int | None = DEFAULT_TRUNK_CAP,
                      _labels: dict | None = None) -> ImageSet:
     """enumerate_reduced_images backed by a directory of JSON results keyed
-    by the canonical form of the source, so isomorphic inputs share work."""
+    by the canonical form of the source, so isomorphic inputs share work.
+
+    An entry stores the source and each image as [n, *code.masks], so a
+    hit rebuilds each code with one Code(n, masks) call, whose word reader
+    checks every mask.  An entry that does not rebuild, or is not the
+    census of this code's canonical form, is recomputed and overwritten."""
     cdir = Path(cache_dir)
     source = canonical_form(code)
     key = f"{_CACHE_FORMAT}\n{format_code(source.code, 'json')}"
@@ -429,12 +469,17 @@ def cached_enumerate(code: Code, cache_dir: Path | str, *, jobs: int = 1,
     path = cdir / f"images-{digest}.json"
     if path.exists():
         try:
-            hit = image_set_from_obj(read_json(path.read_text()))
+            obj = read_json(path.read_text())
             # A census always holds its own source; anything else is another
-            # code's entry or a damaged one.  The stored witness belongs to
-            # whichever presentation wrote the entry, so this input's is kept.
-            if hit.source.code == source.code and source.code in hit.images:
-                return ImageSet(source, hit.images, hit.stats)
+            # code's entry or a damaged one.  The writer packs every code
+            # alike, so an intact entry's source list is one of its image
+            # lists, found by a list compare before anything is decoded.
+            if obj["source"] in obj["images"]:
+                hit = _image_set(obj, _unpack_code)
+                # The stored witness belongs to whichever presentation wrote
+                # the entry, so this input's is kept.
+                if hit.source.code == source.code:
+                    return ImageSet(source, hit.images, hit.stats)
         except (ValueError, KeyError, TypeError):
             pass  # unreadable or malformed entry; recompute and overwrite
     result = enumerate_reduced_images(code, jobs=jobs, max_trunks=max_trunks,
@@ -445,7 +490,7 @@ def cached_enumerate(code: Code, cache_dir: Path | str, *, jobs: int = 1,
     fd, tmp = tempfile.mkstemp(prefix=f"{path.stem}.", suffix=".tmp", dir=cdir)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(image_set_to_obj(result)))
+            fh.write(_entry_text(result))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

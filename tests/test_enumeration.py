@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import json
 import random
@@ -226,12 +227,23 @@ def test_cache_recovers_from_corruption(tmp_path):
                                       ("wall_time", False), ("wall_time", float("nan")),
                                       ("wall_time", float("inf"))]]
     bad_stats.append(dict(good, stats={"explored": -3, "pruned": 2.5, "wall_time": -1}))
-    other = image_set_to_obj(enumerate_reduced_images(parse_code("{12,34,1,3,0}")))
+    other = enumeration._entry_text(enumerate_reduced_images(parse_code("{12,34,1,3,0}")))
     letters = dict(good, source_witness="abc")
     repeated = dict(good, source_witness=[9, 9, 9])
+    # Faults in the packed codes.  The extra images keep the source list
+    # among the image lists, so the code reader itself must refuse them.
+    last = good["images"][-1]
+    assert last != good["source"]
+    bad_codes = [dict(good, images=good["images"] + [extra])
+                 for extra in [[], 7, "[3,1]", {"n": 0, "words": [[]]}, [True, 1],
+                               [65, 1], [*last, -1], [*last, 1 << last[0]], [*last, True]]]
+    bad_codes += [dict(good, source={"n": 3, "words": [[1], []]}),
+                  dict(good, images={"a": good["source"]}),
+                  image_set_to_obj(enumerate_reduced_images(C5))]
     for entry in ["{ not json", "[1,2]", "null", '"text"', "7",
-                  json.dumps(emptied), json.dumps(other), *map(json.dumps, bad_stats),
-                  json.dumps(letters), json.dumps(repeated), "[" * 50000]:
+                  json.dumps(emptied), other, *map(json.dumps, bad_stats),
+                  json.dumps(letters), json.dumps(repeated), *map(json.dumps, bad_codes),
+                  "[" * 50000]:
         path.write_text(entry)
         again = cached_enumerate(C5, tmp_path)
         assert again.images == enumerate_reduced_images(C5).images
@@ -245,14 +257,23 @@ def test_cache_hit_keeps_its_own_inputs_witness(tmp_path):
     assert cached_enumerate(relabeled, tmp_path).source == canonical_form(relabeled)
 
 
+def packed_entry(census):
+    """The cache entry of census, spelled out: image_set_to_obj's keys, with
+    every code packed as [n, *masks] in Code.masks order, no spaces."""
+    obj = dict(image_set_to_obj(census),
+               source=[census.source.code.n, *census.source.code.masks],
+               images=[[c.n, *c.masks] for c in census.images])
+    return json.dumps(obj, separators=(",", ":"))
+
+
 def test_cache_entry_and_hit_match_the_uncached_census(tmp_path):
-    # The entry is the census's JSON form, byte for byte, and a hit gives
-    # back the uncached images in order, with the same words in the same
-    # order and the same text.
+    # The entry is the census packed, byte for byte, and a hit gives back
+    # the uncached images in order, with the same words in the same order
+    # and the same text.
     reference = enumerate_reduced_images(CF)
     miss = cached_enumerate(CF, tmp_path)
     (path,) = tmp_path.glob("images-*.json")
-    assert path.read_text() == json.dumps(image_set_to_obj(miss))
+    assert path.read_text() == packed_entry(miss) == enumeration._entry_text(miss)
     relabeled = Code(CF.n, [[6 - i for i in w] for w in CF.words])
     for code in (CF, relabeled):
         hit = cached_enumerate(code, tmp_path)
@@ -262,6 +283,39 @@ def test_cache_entry_and_hit_match_the_uncached_census(tmp_path):
         assert ([format_code(c) for c in hit.images]
                 == [format_code(c) for c in reference.images])
         assert hit.source == canonical_form(code)
+
+
+def test_cache_never_reads_an_older_format(tmp_path):
+    # An intact entry of the previous format, under the name that format
+    # gave it, is neither read nor overwritten: the call writes the new
+    # entry beside it and returns the uncached census.
+    reference = enumerate_reduced_images(C5)
+    key = "codecat-images-2\n" + format_code(reference.source.code, "json")
+    old = tmp_path / f"images-{hashlib.sha256(key.encode()).hexdigest()[:32]}.json"
+    old_text = json.dumps(image_set_to_obj(reference))
+    old.write_text(old_text)
+    out = cached_enumerate(C5, tmp_path)
+    assert out.images == reference.images
+    assert [c.masks for c in out.images] == [c.masks for c in reference.images]
+    assert old.read_text() == old_text
+    (new,) = set(tmp_path.iterdir()) - {old}
+    assert new.read_text() == packed_entry(out)
+
+
+def test_cache_hits_read_back_seeded_censuses(tmp_path, monkeypatch):
+    codes = random_codes(20, 2024, n=6, max_words=6)
+    references = [enumerate_reduced_images(code) for code in codes]
+    misses = [cached_enumerate(code, tmp_path) for code in codes]
+
+    def no_census(*args, **kwargs):
+        raise AssertionError("a warm entry was recomputed")
+
+    monkeypatch.setattr(enumeration, "enumerate_reduced_images", no_census)
+    for code, reference, miss in zip(codes, references, misses):
+        hit = cached_enumerate(code, tmp_path)
+        assert hit.images == miss.images == reference.images
+        assert [c.masks for c in hit.images] == [c.masks for c in reference.images]
+        assert hit.source == reference.source and hit.stats == miss.stats
 
 
 def test_difference_uses_cache_dir(tmp_path):
