@@ -257,8 +257,7 @@ def _cache_dir(args) -> Path | None:
 
 def _cmd_images(args) -> int:
     code = parse_code(args.code)
-    out = _enumerate_maybe_cached(code, _cache_dir(args), jobs=args.jobs,
-                                  max_trunks=_max_trunks(args))
+    out = _enumerate_maybe_cached(code, _cache_dir(args), max_trunks=_max_trunks(args))
     if args.json:
         print(json.dumps(image_set_to_obj(out)))
         return 0
@@ -274,8 +273,7 @@ def _cmd_images(args) -> int:
 def _cmd_diff_images(args) -> int:
     target = parse_code(args.target)
     baselines = [parse_code(t) for t in args.baseline]
-    diff = image_set_difference(target, baselines, jobs=args.jobs,
-                                max_trunks=_max_trunks(args),
+    diff = image_set_difference(target, baselines, max_trunks=_max_trunks(args),
                                 cache_dir=_cache_dir(args))
     if args.json:
         print(json.dumps({"target": code_to_obj(target),
@@ -391,7 +389,8 @@ def _add_json(p: argparse.ArgumentParser) -> None:
 def _add_enum_opts(p: argparse.ArgumentParser, jobs: bool = True) -> None:
     if jobs:
         p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes for the search (default 1)")
+                       help="accepted for compatibility; the search runs in "
+                            "one process")
     p.add_argument("--max-trunks", type=int, default=DEFAULT_TRUNK_CAP,
                    metavar="N",
                    help="refuse codes with more trunks than this; "

@@ -25,9 +25,8 @@ itself a relabelling of the image, so images with one key are isomorphic
 and share a canonical form, and isomorphic images reached through other
 trunks often share the key; only an image that misses both lookups is
 searched.  One cache serves every census and walk of an
-image_set_difference call, the cached censuses that miss included, and each
-process-pool worker keeps one for the subtrees it runs; no cache outlives
-its call or its pool.
+image_set_difference call, the cached censuses that miss included; no
+cache outlives its call.  Every walk runs in the calling process.
 
 A query that only needs to know whether some node matches a target rules
 nodes out first by a cheaper isomorphism invariant, _filter_key: the word
@@ -53,7 +52,6 @@ import math
 import os
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,9 +85,6 @@ class ImageSet:
     source: CanonicalForm
     images: tuple[Code, ...]
     stats: EnumerationStats
-
-    def canonical_keys(self) -> frozenset[tuple]:
-        return frozenset(_code_key(c) for c in self.images)
 
 
 def _code_key(code: Code) -> tuple:
@@ -241,17 +236,8 @@ def _collect(nodes, images: list[int], found: set, labels: dict) -> None:
         found.add(_canonical_of_reduced_masks(len(chosen), sig, labels))
 
 
-# The labelling cache of a pool worker, shared by the subtrees it runs for
-# one census; None outside a pool worker, where each job gets its own.
-_worker_labels: dict | None = None
-
-
-def _start_worker() -> None:
-    global _worker_labels
-    _worker_labels = {}
-
-
 def _subtree_job(args):
+    # The census no longer calls this; perfbench's pool_tasks times each job.
     words_count, pool, first = args
     members = _trunk_words(words_count, pool)
     images = [0] * words_count
@@ -260,7 +246,7 @@ def _subtree_job(args):
     found: set = set()
     counters = [0, 0]
     nodes = _walk(pool, members, [pool[first]], images, first + 1, counters)
-    _collect(nodes, images, found, {} if _worker_labels is None else _worker_labels)
+    _collect(nodes, images, found, {})
     return counters[0], counters[1], [(c.n, c.masks) for c in found]
 
 
@@ -269,8 +255,9 @@ def enumerate_reduced_images(code: Code, *, jobs: int = 1,
                              _labels: dict | None = None) -> ImageSet:
     """The set {canonical_form(image(f)) : f a morphism out of code}.
 
-    Deterministic for a given input regardless of jobs; refuses codes whose
-    trunk family exceeds max_trunks.  _labels is the labelling cache of
+    Deterministic for a given input; refuses codes whose trunk family
+    exceeds max_trunks.  jobs is accepted for compatibility and unused: the
+    walk runs in this process.  _labels is the labelling cache of
     _canonical_of_reduced_masks to use, for callers that run several
     censuses.
     """
@@ -281,17 +268,7 @@ def enumerate_reduced_images(code: Code, *, jobs: int = 1,
     images = [0] * len(words)
     found: set = set()
     counters = [0, 0]
-    if jobs <= 1 or len(pool) < 2:
-        _collect(_walk(pool, members, [], images, 0, counters), images, found, labels)
-    else:
-        # The root (empty subset) alone runs here; first-trunk subtrees fan out.
-        _collect(_walk(pool, members, [], images, 0, counters, 0), images, found, labels)
-        tasks = [(len(words), pool, i) for i in range(len(pool))]
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker) as pex:
-            for explored, pruned, codes in pex.map(_subtree_job, tasks):
-                counters[0] += explored
-                counters[1] += pruned
-                found.update(Code(n, masks) for n, masks in codes)
+    _collect(_walk(pool, members, [], images, 0, counters), images, found, labels)
     stats = EnumerationStats(counters[0], counters[1], time.monotonic() - t0)
     return ImageSet(canonical_form(code), tuple(sorted(found, key=_code_key)), stats)
 
@@ -366,7 +343,7 @@ def image_set_difference(target: Code, baselines: list[Code], *, jobs: int = 1,
     With cache_dir every census is full, because a miss writes a whole
     entry."""
     labels: dict = {}
-    kw = {"jobs": jobs, "max_trunks": max_trunks, "_labels": labels}
+    kw = {"max_trunks": max_trunks, "_labels": labels}
     mine = _enumerate_maybe_cached(target, cache_dir, **kw).images
     if cache_dir is not None:
         covered: set[Code] = set()
@@ -482,8 +459,7 @@ def cached_enumerate(code: Code, cache_dir: Path | str, *, jobs: int = 1,
                     return ImageSet(source, hit.images, hit.stats)
         except (ValueError, KeyError, TypeError):
             pass  # unreadable or malformed entry; recompute and overwrite
-    result = enumerate_reduced_images(code, jobs=jobs, max_trunks=max_trunks,
-                                      _labels=_labels)
+    result = enumerate_reduced_images(code, max_trunks=max_trunks, _labels=_labels)
     cdir.mkdir(parents=True, exist_ok=True)
     # A temporary file of its own per writer, so concurrent runs never
     # interleave their bytes; os.replace publishes it whole.

@@ -289,3 +289,28 @@ def test_console_script_entry():
     proc = subprocess.run([sys.executable, "-m", "codecat.cli", "iso",
                            "{1}", "{1,2}"], capture_output=True, text=True)
     assert proc.returncode == 1
+
+
+CF = "{2345,123,134,145,13,14,23,34,45,3,4,0}"
+DF = "{2345,234,345,123,134,145,13,14,23,34,45,3,4,0}"
+EF = "{2345,123,134,145,13,14,23,34,45,3,4,1,0}"
+
+
+def _wall_masked(out: str) -> str:
+    doc = json.loads(out)
+    doc["stats"]["wall_time"] = 0
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("argv, mask", [
+    (["images", DF, "--no-cache"], str),
+    (["images", DF, "--no-cache", "--json"], _wall_masked),
+    (["diff-images", CF, DF, EF, "--no-cache"], str),
+], ids=["images", "images-json", "diff-images"])
+def test_jobs_flag_is_accepted_and_changes_no_output(capsys, argv, mask):
+    outs = []
+    for jobs in ([], ["--jobs", "0"], ["--jobs", "2"]):
+        rc, out, err = run(capsys, *argv, *jobs)
+        assert rc == 0 and err == ""
+        outs.append(mask(out))
+    assert outs[0] == outs[1] == outs[2]

@@ -2,7 +2,11 @@ import functools
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -327,8 +331,8 @@ def test_difference_uses_cache_dir(tmp_path):
 
 
 def test_df_census_walk_pinned_serial_and_pooled():
-    # the walk itself, not only its image count: the process pool must visit
-    # and prune exactly what the serial walk does
+    # the walk itself, not only its image count: jobs=2 is still accepted and
+    # must visit and prune exactly what the serial walk does
     df = parse_code("{2345,234,345,123,134,145,13,14,23,34,45,3,4,0}")
     serial = enumerate_reduced_images(df)
     pooled = enumerate_reduced_images(df, jobs=2)
@@ -553,23 +557,32 @@ def test_pooled_census_equals_serial(code):
             == (serial.stats.explored, serial.stats.pruned))
 
 
-def test_subtree_jobs_share_a_cache_only_in_a_worker(monkeypatch):
-    # outside a pool worker each job labels from scratch; a worker's jobs
-    # share the cache its initializer made, so running every subtree in one
-    # worker costs what the serial walk costs, less the root's one search
+def test_subtree_jobs_label_from_scratch(monkeypatch):
+    # each job labels with a cache of its own, so a second run of every
+    # subtree searches as often as the first
     words, pool = enumeration._index_pool(EF, None)
     searches = count_calls(monkeypatch, "_min_relabeling")
-    jobs = [(len(words), pool, i) for i in range(len(pool))]
-
-    def run_all():
-        return [(e, p, set(codes)) for e, p, codes in map(enumeration._subtree_job, jobs)]
-
     for _ in range(2):
         searches.clear()
-        fresh = run_all()
+        for i in range(len(pool)):
+            enumeration._subtree_job((len(words), pool, i))
         assert len(searches) == 419
-    monkeypatch.setattr(enumeration, "_worker_labels", None)
-    enumeration._start_worker()
-    searches.clear()
-    assert run_all() == fresh
-    assert len(searches) == 168 - 1
+
+
+def test_import_and_census_load_no_multiprocessing():
+    # jobs is accepted but starts no pool, and nothing imports one
+    script = "\n".join([
+        "import sys",
+        "import codecat, codecat.cli",
+        "from codecat import enumerate_reduced_images, image_set_difference, parse_code",
+        f"cf, df, ef = map(parse_code, {[format_code(c) for c in (CF, DF, EF)]!r})",
+        "assert len(enumerate_reduced_images(ef, jobs=2).images) == 133",
+        "assert len(image_set_difference(cf, [df, ef], jobs=2)) == 4",
+        "assert 'multiprocessing' not in sys.modules, 'multiprocessing was imported'",
+    ])
+    src = str(Path(enumeration.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
