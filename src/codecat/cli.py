@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .codes import (Code, _display_key, code_to_obj, format_code, mask_members, parse_code,
+from .codes import (Code, _code_str, _display_key, code_to_obj, mask_members, parse_code,
                     read_json)
 from .constructions import (coproduct, is_intersection_complete,
                             is_max_intersection_complete, product)
@@ -93,10 +93,6 @@ def _fmt_word(members) -> str:
 def _fmt_masks(masks) -> str:
     words = sorted(masks, key=_display_key)
     return "{" + ",".join(_fmt_word(mask_members(m)) for m in words) + "}"
-
-
-def _code_str(code: Code) -> str:
-    return format_code(code, "compact" if code.n <= 9 else "json")
 
 
 def _emit_code(code: Code, as_json: bool) -> None:

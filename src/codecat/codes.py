@@ -149,7 +149,7 @@ class Code:
         return hash((self.n, self._mask_set))
 
     def __repr__(self) -> str:
-        return f"Code({self.n}, {format_code(self)!r})"
+        return f"Code({self.n}, {_code_str(self)!r})"
 
 
 def contains(code: Code, word: Iterable[int]) -> bool:
@@ -281,3 +281,8 @@ def format_code(code: Code, style: str = "compact") -> str:
 def code_to_obj(code: Code) -> dict:
     """JSON-ready object form; parse_code accepts it and its json.dumps output."""
     return {"n": code.n, "words": [list(mask_members(m)) for m in _display_masks(code)]}
+
+
+def _code_str(code: Code) -> str:
+    """format_code's compact style for n <= 9, its JSON style above that."""
+    return format_code(code, "compact" if code.n <= 9 else "json")

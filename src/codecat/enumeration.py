@@ -31,12 +31,13 @@ cache outlives its call.  Every walk runs in the calling process.
 A query that only needs to know whether some node matches a target rules
 nodes out first by a cheaper isomorphism invariant, _filter_key: the word
 count and the sorted per-neuron lists of held-word sizes.  It is not a
-relabelling, so it never keys the cache.  verify_image_membership
-canonicalises only the nodes whose filter key is the target's, and an
-uncached image_set_difference walks each baseline against the target
-images not yet covered, canonicalising only the nodes whose filter key
-names one of them; with a cache directory every census stays full,
-because a miss writes a whole entry.
+relabelling, so it never keys the cache.  _cover is the one targeted
+walk: it walks a code against the images not yet covered, canonicalising
+only the nodes whose filter key names one of them.  An uncached
+image_set_difference runs it on each baseline against the target's
+images, and verify_image_membership is _cover with the target alone.
+With a cache directory every census stays full, because a miss writes a
+whole entry.
 
 A cached census is one JSON file per canonical form of the source.  Its
 entry stores the source and each image as [n, *code.masks], so a hit
@@ -276,58 +277,60 @@ def enumerate_reduced_images(code: Code, *, jobs: int = 1,
 def verify_image_membership(source: Code, target: Code,
                             max_trunks: int | None = DEFAULT_TRUNK_CAP) -> Morphism | None:
     """A morphism out of source whose image is isomorphic to target, if one
-    exists; None otherwise.  The witness is the first hit in the fixed
-    enumeration order.  Irredundant k trunks give a reduced image on k
-    neurons, so only nodes with as many trunks as the reduced target has
-    neurons are looked at, and the walk goes no deeper.  Of those, only the
-    nodes whose _filter_key is the target's are canonicalised: the others
-    cannot be isomorphic to it."""
+    exists; None otherwise.  This is _cover with the reduced target alone
+    left uncovered: the witness is the first node that covers it, in the
+    fixed enumeration order."""
     target = canonical_form(target).code
-    want = _filter_key(target.n, target.mask_set)
-    words, pool = _index_pool(source, max_trunks)
-    images = [0] * len(words)
-    labels: dict = {}
-    nodes = _walk(pool, _trunk_words(len(words), pool), [], images, 0, [0, 0], target.n)
-    for chosen in nodes:
-        if len(chosen) == target.n:
-            sig = _image_signature(images)
-            if (len(sig) == len(target) and _filter_key(target.n, sig) == want
-                    and _canonical_of_reduced_masks(target.n, sig, labels) == target):
-                return Morphism(source, tuple(Trunk(_index_members(words, t)) for t in chosen))
+    words = source.masks
+    for chosen in _cover(source, {_filter_key(target.n, target.mask_set): {target}}, {},
+                         max_trunks):
+        return Morphism(source, tuple(Trunk(_index_members(words, t)) for t in chosen))
     return None
 
 
 def _cover(code: Code, uncovered: dict[tuple, set[Code]], labels: dict,
-           max_trunks: int | None) -> None:
-    """Remove from uncovered every image that is an image of code.
+           max_trunks: int | None):
+    """Remove from uncovered every image that is an image of code, yielding
+    the walk's live chosen list (word-index masks of the trunks) each time a
+    node covers an image left, and only then.
 
     uncovered maps _filter_key values to canonical images; an emptied entry
-    is deleted.  The walk goes only as deep as the largest image left, and
-    a node is canonicalised only when its filter key names an entry, since
-    no other node can be isomorphic to an image left; it stops once
-    uncovered is empty.  The trunk cap is checked first, so a code over it
-    refuses even when uncovered is already empty."""
+    is deleted.  Irredundant k trunks give a reduced image on k neurons, so
+    the walk goes only as deep as the largest image left, a node's image is
+    built only when an image left has as many neurons, and it is
+    canonicalised only when its filter key names an entry, since no other
+    node can be isomorphic to an image left; it stops once uncovered is
+    empty.  The trunk cap is checked first, so a code over it refuses even
+    when uncovered is already empty."""
     words, pool = _index_pool(code, max_trunks)
     if not uncovered:
         return
     shapes = {key[:2] for key in uncovered}
-    depth = max(m for m, _, _ in uncovered)
+    sizes = {m for m, _ in shapes}
+    depth = max(sizes)
     images = [0] * len(words)
     for chosen in _walk(pool, _trunk_words(len(words), pool), [], images, 0, [0, 0], depth):
-        sig = _image_signature(images)
         k = len(chosen)
+        if k not in sizes:
+            continue
+        sig = _image_signature(images)
         if (k, len(sig)) not in shapes:
             continue
         key = _filter_key(k, sig)
         left = uncovered.get(key)
         if left is None:
             continue
-        left.discard(_canonical_of_reduced_masks(k, sig, labels))
+        image = _canonical_of_reduced_masks(k, sig, labels)
+        if image not in left:
+            continue
+        left.remove(image)
+        yield chosen
         if not left:
             del uncovered[key]
             if not uncovered:
                 return
             shapes = {key[:2] for key in uncovered}
+            sizes = {m for m, _ in shapes}
 
 
 def image_set_difference(target: Code, baselines: list[Code], *, jobs: int = 1,
@@ -354,7 +357,8 @@ def image_set_difference(target: Code, baselines: list[Code], *, jobs: int = 1,
     for c in mine:
         uncovered.setdefault(_filter_key(c.n, c.mask_set), set()).add(c)
     for b in baselines:
-        _cover(b, uncovered, labels, max_trunks)
+        for _ in _cover(b, uncovered, labels, max_trunks):
+            pass
     left = set().union(*uncovered.values())
     return tuple(c for c in mine if c in left)
 

@@ -113,15 +113,17 @@ class ExplicitMap:
         return Code(self.codomain.n, {dst for _, dst in self.pairs})
 
 
+def _preimages(f: ExplicitMap):
+    """Yield the preimage under f of each simple codomain trunk Tk(j), for
+    j = 1..n in turn."""
+    table = f.as_dict()
+    for j in range(f.codomain.n):
+        yield frozenset(src for src, dst in table.items() if dst >> j & 1)
+
+
 def is_morphism(f: ExplicitMap) -> bool:
     """Does every simple-trunk preimage come out a trunk of the domain?"""
-    table = f.as_dict()
-    for j in range(1, f.codomain.n + 1):
-        bit = 1 << (j - 1)
-        pre = [src for src, dst in table.items() if dst & bit]
-        if not is_trunk(f.domain, pre):
-            return False
-    return True
+    return all(is_trunk(f.domain, pre) for pre in _preimages(f))
 
 
 def decompose(f: ExplicitMap) -> Morphism:
@@ -132,13 +134,7 @@ def decompose(f: ExplicitMap) -> Morphism:
     """
     if not is_morphism(f):
         raise ValueError("the map is not a morphism: some trunk preimage is not a trunk")
-    table = f.as_dict()
-    trunks = []
-    for j in range(1, f.codomain.n + 1):
-        bit = 1 << (j - 1)
-        members = frozenset(src for src, dst in table.items() if dst & bit)
-        trunks.append(Trunk(members))
-    return Morphism(f.domain, tuple(trunks))
+    return Morphism(f.domain, tuple(map(Trunk, _preimages(f))))
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:

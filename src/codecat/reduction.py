@@ -71,15 +71,11 @@ def reduce_code(code: Code) -> ReductionResult:
     trunk (ordered by generator).  An already-reduced code comes back
     unchanged, so reducing is idempotent.
     """
-    if is_reduced(code):
-        iso = Morphism(code, tuple(t for _, t in simple_trunks(code)))
-        origins = tuple(frozenset(mask_members(t.generator_mask))
-                        for t in iso.trunks)
-        return ReductionResult(code, iso, origins)
-    irr = irreducible_trunks(code)
-    iso = Morphism(code, tuple(irr))
-    origins = tuple(frozenset(mask_members(t.generator_mask)) for t in irr)
-    return ReductionResult(iso.image(), iso, origins)
+    already = is_reduced(code)
+    trunks = [t for _, t in simple_trunks(code)] if already else irreducible_trunks(code)
+    iso = Morphism(code, tuple(trunks))
+    origins = tuple(frozenset(mask_members(t.generator_mask)) for t in trunks)
+    return ReductionResult(code if already else iso.image(), iso, origins)
 
 
 def minimum_neuron_number(code: Code) -> int:

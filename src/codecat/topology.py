@@ -154,10 +154,7 @@ def _collapses_to_point(faces: frozenset[int], memo: dict[frozenset[int], bool],
     if budget[0] < 0:
         raise ResourceCapError("collapsibility search exceeded its state "
                                "budget; raise the face cap to keep going")
-    if len(faces) == 2 and 0 in faces:
-        (v,) = [f for f in faces if f]
-        result = v.bit_count() == 1
-    elif _is_simplex(faces):
+    if _is_simplex(faces):
         result = True  # any simplex collapses to a vertex
     else:
         result = False
@@ -269,23 +266,15 @@ def local_obstruction_report(code: Code, cap: int = DEFAULT_FACE_CAP) -> Obstruc
         lk = link(k, smask)
         betti = f2_reduced_homology(lk, cap)
         if any(betti.values()):
-            entries.append(ObstructionEntry(
-                sigma=frozenset(mask_members(smask)),
-                link_facets=lk.facet_words,
-                betti=tuple(sorted(betti.items())),
-                collapsible=False,  # nonzero homology rules collapsibility out
-                verdict="obstruction_first_kind"))
-            continue
-        try:
-            coll = is_collapsible(lk, cap)
-        except ResourceCapError:
-            coll = None
-        if coll:
-            verdict = "no_obstruction"
-        elif coll is None:
-            verdict = "contractibility_unknown"
+            # nonzero homology rules collapsibility out
+            coll, verdict = False, "obstruction_first_kind"
         else:
-            verdict = "obstruction_second_kind_only"
+            try:
+                coll = is_collapsible(lk, cap)
+            except ResourceCapError:
+                coll = None
+            verdict = {True: "no_obstruction", None: "contractibility_unknown",
+                       False: "obstruction_second_kind_only"}[coll]
         entries.append(ObstructionEntry(
             sigma=frozenset(mask_members(smask)),
             link_facets=lk.facet_words,

@@ -314,3 +314,30 @@ def test_jobs_flag_is_accepted_and_changes_no_output(capsys, argv, mask):
         assert rc == 0 and err == ""
         outs.append(mask(out))
     assert outs[0] == outs[1] == outs[2]
+
+
+C0 = "{3456,123,145,256,45,56,1,2,3,0}"
+C1 = "{1236,3456,145,256,26,36,45,56,1,6,0}"
+
+
+@pytest.mark.parametrize("source, target, golden", [
+    (CF, C1, "1: 3\n2: 1\n3: 14\n4: 23\n5: 34\n6: 45\n"),
+    (C1, C0, "1: 5\n2: 1\n3: 26\n4: 45\n5: 56\n6: 36\n"),
+], ids=["CF-C1", "C1-C0"])
+def test_member_witness_chain_goldens(capsys, source, target, golden):
+    rc, out, err = run(capsys, "member", source, target)
+    assert (rc, out, err) == (0, golden, "")
+
+
+def test_local_obs_goldens(capsys):
+    rc, out, err = run(capsys, "local-obs", "{12,23,13}")
+    assert (rc, err) == (1, "")
+    assert out == ("locally_good: no\nlocally_great: no\n"
+                   "0: obstruction_first_kind (H1=1)\n"
+                   "1: obstruction_first_kind (H0=1)\n"
+                   "2: obstruction_first_kind (H0=1)\n"
+                   "3: obstruction_first_kind (H0=1)\n")
+    rc, out, err = run(capsys, "local-obs", C0)
+    lines = out.splitlines()
+    assert (rc, err, len(lines)) == (0, "", 20)
+    assert sum(line.endswith(": no_obstruction") for line in lines) == 18

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from codecat import Code, MAX_NEURONS, code_to_obj, format_code, parse_code
+from codecat import (Code, MAX_NEURONS, Morphism, canonical_form, code_to_obj,
+                     enumerate_reduced_images, format_code, local_obstruction_report,
+                     parse_code, reduce_code, trunk_of)
 from codecat.codes import mask_members, word_mask
 
 from helpers import random_codes, tuple_word_key
@@ -182,3 +184,29 @@ def test_word_order_on_first_use_changes_no_result(name):
         args = (twin,) if name == "eq" else ()
         assert get(fresh, *args) == get(primed, *args), (n, words)
 
+
+
+def test_repr_spells_small_codes_compactly():
+    assert repr(parse_code("{12,23,1,3,0}")) == "Code(3, '{12,23,1,3,0}')"
+
+
+def test_repr_of_wide_codes_and_what_holds_them():
+    # compact notation covers neurons 1..9, so a wider code is shown in JSON
+    one = Code(10, [[1]])
+    assert repr(one) == "Code(10, 'n=10 [[1]]')"
+    singletons = Code(10, [[i] for i in range(1, 11)] + [[]])
+    assert repr(singletons) == "Code(10, '[[1],[2],[3],[4],[5],[6],[7],[8],[9],[10],[]]')"
+    wide = Code(12, [[1, 12], [11, 12], [12], []])
+    for c in (one, singletons, wide):
+        text = repr(c)
+        assert parse_code(text[text.index("'") + 1:-2]) == c
+    holders = [
+        (wide, Morphism(wide, (trunk_of(wide, [12]), trunk_of(wide, [1])))),
+        (one, reduce_code(one)),
+        (wide, reduce_code(wide)),
+        (singletons, canonical_form(singletons)),
+        (wide, local_obstruction_report(wide)),
+        (singletons, enumerate_reduced_images(singletons)),
+    ]
+    for code, value in holders:
+        assert repr(code) in repr(value), type(value).__name__
