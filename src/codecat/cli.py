@@ -204,10 +204,11 @@ def _cmd_is_morphism(args) -> int:
 
 def _cmd_decompose(args) -> int:
     f = _load_map(args.map)
-    if not is_morphism(f):
+    try:
+        m = decompose(f)
+    except ValueError:
         print("not a morphism")
         return 1
-    m = decompose(f)
     if args.json:
         print(json.dumps(morphism_to_obj(m)))
     else:

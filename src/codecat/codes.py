@@ -103,6 +103,19 @@ class Code:
         self._mask_list = None  # sorted on first use of masks
 
     @classmethod
+    def _of_checked_masks(cls, n: int, masks: Iterable[int]) -> "Code":
+        """The code Code(n, masks) builds, reading no word again.
+
+        Only for input already checked as Code would check it: n a plain
+        int in 0..MAX_NEURONS, every mask a plain int (not a bool) in
+        0..2**n - 1.  Nothing here checks it."""
+        code = cls.__new__(cls)
+        code.n = n
+        code._mask_set = frozenset(masks)
+        code._mask_list = None
+        return code
+
+    @classmethod
     def from_words(cls, words: Iterable[Iterable[int] | int]) -> "Code":
         """Build a code inferring n as the largest neuron mentioned."""
         masks = [word_mask(w) for w in words]

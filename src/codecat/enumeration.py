@@ -40,9 +40,13 @@ With a cache directory every census stays full, because a miss writes a
 whole entry.
 
 A cached census is one JSON file per canonical form of the source.  Its
-entry stores the source and each image as [n, *code.masks], so a hit
-rebuilds each code with one Code(n, masks) call instead of reading each
-word index by index; an entry that does not rebuild is recomputed.
+entry stores the source and each image as [n, *code.masks].  A hit checks
+all of them in bulk, with one type pass over every int and a min and max
+per code, and then builds each code without reading its words again; an
+entry that fails a check is recomputed.  The lookups of one
+image_set_difference call share a dict of the censuses already read or
+computed (cached_enumerate's _entries, passed like _labels), so each entry
+is read at most once per call; nothing of it outlives the call.
 """
 
 from __future__ import annotations
@@ -54,9 +58,11 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
-from .codes import Code, _json_list, code_to_obj, format_code, parse_code, read_json
+from .codes import (MAX_NEURONS, Code, _json_list, code_to_obj, format_code, parse_code,
+                    read_json)
 from .morphisms import Morphism
 from .reduction import CanonicalForm, _min_relabeling, canonical_form
 from .trunks import Trunk, _index_members, _trunk_family_masksets
@@ -344,15 +350,18 @@ def image_set_difference(target: Code, baselines: list[Code], *, jobs: int = 1,
     against the target images not yet covered (see _cover), so a baseline
     image is canonicalised only when its filter key matches one of them.
     With cache_dir every census is full, because a miss writes a whole
-    entry."""
+    entry, and the call's lookups share one _entries dict, so each entry is
+    read at most once however often the call names its class."""
     labels: dict = {}
     kw = {"max_trunks": max_trunks, "_labels": labels}
-    mine = _enumerate_maybe_cached(target, cache_dir, **kw).images
     if cache_dir is not None:
+        kw["_entries"] = {}
+        mine = cached_enumerate(target, cache_dir, **kw).images
         covered: set[Code] = set()
         for b in baselines:
             covered.update(cached_enumerate(b, cache_dir, **kw).images)
         return tuple(c for c in mine if c not in covered)
+    mine = enumerate_reduced_images(target, **kw).images
     uncovered: dict[tuple, set[Code]] = {}
     for c in mine:
         uncovered.setdefault(_filter_key(c.n, c.mask_set), set()).add(c)
@@ -386,8 +395,9 @@ def _image_set_obj(s: ImageSet, encode) -> dict:
 
 
 def _image_set(obj: dict, decode) -> ImageSet:
-    """The ImageSet that _image_set_obj(s, encode) gave obj for, where decode
-    undoes encode; ValueError, KeyError or TypeError for a malformed obj."""
+    """The ImageSet that _image_set_obj(s, encode) gave obj for, where
+    decode([encode(c) for c in codes]) gives back the codes in order;
+    ValueError, KeyError or TypeError for a malformed obj."""
     st = obj["stats"]
     stats = EnumerationStats(st["explored"], st["pruned"], st["wall_time"])
     wall = stats.wall_time
@@ -395,14 +405,12 @@ def _image_set(obj: dict, decode) -> ImageSet:
             and type(wall) in (int, float) and 0 <= wall < math.inf):
         raise ValueError("enumeration stats must be two counts and a finite "
                          f"time, none negative, got {st!r}")
-    code = decode(obj["source"])
+    code, *images = decode([obj["source"], *_json_list(obj["images"], '"images"')])
     witness = _json_list(obj["source_witness"], '"source_witness"')
     if (not all(type(i) is int for i in witness)
             or sorted(witness) != list(range(1, code.n + 1))):
         raise ValueError(f'"source_witness" must be a permutation of 1..{code.n}')
-    source = CanonicalForm(code, tuple(witness))
-    images = tuple(map(decode, _json_list(obj["images"], '"images"')))
-    return ImageSet(source, images, stats)
+    return ImageSet(CanonicalForm(code, tuple(witness)), tuple(images), stats)
 
 
 def image_set_to_obj(s: ImageSet) -> dict:
@@ -410,21 +418,29 @@ def image_set_to_obj(s: ImageSet) -> dict:
 
 
 def image_set_from_obj(obj: dict) -> ImageSet:
-    return _image_set(obj, parse_code)
+    return _image_set(obj, lambda objs: [parse_code(o) for o in objs])
 
 
 def _pack_code(code: Code) -> list[int]:
     return [code.n, *code.masks]
 
 
-def _unpack_code(packed) -> Code:
-    """The code _pack_code gave packed.  Code checks n and every mask, so a
-    bool or out-of-range n and a bool, negative or too-wide mask raise
-    ValueError, as does a packed value that is not a nonempty list."""
-    if type(packed) is not list or not packed:
-        raise ValueError("a cached code must be a nonempty list [n, *masks], "
-                         f"got {type(packed).__name__}")
-    return Code(packed[0], packed[1:])
+def _unpack_codes(packed: list) -> list[Code]:
+    """The codes _pack_code gave the items of packed, checked in bulk as
+    Code checks each word: every item must be a nonempty list of plain ints
+    (no bool), with n in 0..MAX_NEURONS and every mask in 0..2**n - 1.
+    Anything else raises ValueError."""
+    if not all(type(p) is list and p for p in packed):
+        raise ValueError("a cached code must be a nonempty list [n, *masks]")
+    if {*map(type, chain.from_iterable(packed))} - {int}:
+        raise ValueError("a cached code must hold only plain ints")
+    for p in packed:
+        n = p[0]
+        # n < 2**n, so max(p) >> n tests only the masks.
+        if not 0 <= n <= MAX_NEURONS or min(p) < 0 or max(p) >> n:
+            raise ValueError(f"a cached code's n must be in 0..{MAX_NEURONS} and its "
+                             f"masks in 0..2**n - 1, got n={n}")
+    return [Code._of_checked_masks(p[0], p[1:]) for p in packed]
 
 
 def _entry_text(s: ImageSet) -> str:
@@ -435,47 +451,68 @@ def _entry_text(s: ImageSet) -> str:
 
 def cached_enumerate(code: Code, cache_dir: Path | str, *, jobs: int = 1,
                      max_trunks: int | None = DEFAULT_TRUNK_CAP,
-                     _labels: dict | None = None) -> ImageSet:
+                     _labels: dict | None = None, _entries: dict | None = None) -> ImageSet:
     """enumerate_reduced_images backed by a directory of JSON results keyed
     by the canonical form of the source, so isomorphic inputs share work.
 
-    An entry stores the source and each image as [n, *code.masks], so a
-    hit rebuilds each code with one Code(n, masks) call, whose word reader
-    checks every mask.  An entry that does not rebuild, or is not the
-    census of this code's canonical form, is recomputed and overwritten."""
-    cdir = Path(cache_dir)
+    An entry stores the source and each image as [n, *code.masks].  A hit
+    checks every code of the entry in bulk (plain ints, n in 0..MAX_NEURONS,
+    masks in 0..2**n - 1) and then builds each without reading its words
+    again.  An entry that fails a check, or is not the census of this
+    code's canonical form, is recomputed and overwritten.
+
+    _labels is the labelling cache a miss's census uses, and _entries maps
+    canonical sources to the censuses already read or computed, for callers
+    that look up several codes: a code whose class _entries holds gets that
+    census with its own source witness, and nothing is read."""
     source = canonical_form(code)
+    if _entries is not None and source.code in _entries:
+        known = _entries[source.code]
+        return ImageSet(source, known.images, known.stats)
+    cdir = Path(cache_dir)
     key = f"{_CACHE_FORMAT}\n{format_code(source.code, 'json')}"
     digest = hashlib.sha256(key.encode()).hexdigest()[:32]
     path = cdir / f"images-{digest}.json"
-    if path.exists():
+    result = _read_entry(path, source)
+    if result is None:
+        result = enumerate_reduced_images(code, max_trunks=max_trunks, _labels=_labels)
+        cdir.mkdir(parents=True, exist_ok=True)
+        # A temporary file of its own per writer, so concurrent runs never
+        # interleave their bytes; os.replace publishes it whole.
+        fd, tmp = tempfile.mkstemp(prefix=f"{path.stem}.", suffix=".tmp", dir=cdir)
         try:
-            obj = read_json(path.read_text())
-            # A census always holds its own source; anything else is another
-            # code's entry or a damaged one.  The writer packs every code
-            # alike, so an intact entry's source list is one of its image
-            # lists, found by a list compare before anything is decoded.
-            if obj["source"] in obj["images"]:
-                hit = _image_set(obj, _unpack_code)
-                # The stored witness belongs to whichever presentation wrote
-                # the entry, so this input's is kept.
-                if hit.source.code == source.code:
-                    return ImageSet(source, hit.images, hit.stats)
-        except (ValueError, KeyError, TypeError):
-            pass  # unreadable or malformed entry; recompute and overwrite
-    result = enumerate_reduced_images(code, max_trunks=max_trunks, _labels=_labels)
-    cdir.mkdir(parents=True, exist_ok=True)
-    # A temporary file of its own per writer, so concurrent runs never
-    # interleave their bytes; os.replace publishes it whole.
-    fd, tmp = tempfile.mkstemp(prefix=f"{path.stem}.", suffix=".tmp", dir=cdir)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(_entry_text(result))
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+            with os.fdopen(fd, "w") as fh:
+                fh.write(_entry_text(result))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    if _entries is not None:
+        _entries[source.code] = result
     return result
+
+
+def _read_entry(path: Path, source: CanonicalForm) -> ImageSet | None:
+    """The census the entry at path holds for source, with source's own
+    witness; None if there is no entry or it is unreadable, malformed or
+    another code's."""
+    if not path.exists():
+        return None
+    try:
+        obj = read_json(path.read_text())
+        # A census always holds its own source; anything else is another
+        # code's entry or a damaged one.  The writer packs every code alike,
+        # so an intact entry's source list is one of its image lists, found
+        # by a list compare before anything is decoded.
+        if obj["source"] in obj["images"]:
+            hit = _image_set(obj, _unpack_codes)
+            # The stored witness belongs to whichever presentation wrote the
+            # entry, so this input's is kept.
+            if hit.source.code == source.code:
+                return ImageSet(source, hit.images, hit.stats)
+    except (ValueError, KeyError, TypeError):
+        pass  # unreadable or malformed entry; recompute and overwrite
+    return None
 
 
 def _enumerate_maybe_cached(code: Code, cache_dir, **kw) -> ImageSet:

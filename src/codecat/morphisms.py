@@ -132,9 +132,11 @@ def decompose(f: ExplicitMap) -> Morphism:
     The result has one trunk per codomain neuron, so applying it reproduces
     f exactly (with the codomain read as 2^[n]).
     """
-    if not is_morphism(f):
-        raise ValueError("the map is not a morphism: some trunk preimage is not a trunk")
-    return Morphism(f.domain, tuple(map(Trunk, _preimages(f))))
+    try:
+        return Morphism(f.domain, tuple(map(Trunk, _preimages(f))))
+    except ValueError:  # Morphism found a preimage that is not a trunk
+        raise ValueError("the map is not a morphism: "
+                         "some trunk preimage is not a trunk") from None
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .codes import Code, mask_members
 from .exceptions import ResourceCapError
 from .morphisms import Morphism
-from .trunks import irreducible_trunks, simple_trunks, trunk_of
+from .trunks import Trunk, irreducible_trunks, simple_trunks, trunk_of
 
 
 def trivial_neurons(code: Code) -> set[int]:
@@ -36,15 +36,18 @@ def redundant_neurons(code: Code) -> list[tuple[int, frozenset[int]]]:
     If any sigma avoiding i works then so does the generator of Tk(i) with i
     removed, by maximality of the generator.
     """
-    out = []
-    for i, t in simple_trunks(code):
+    return list(_redundant(code, simple_trunks(code)))
+
+
+def _redundant(code: Code, simple: list[tuple[int, Trunk]]):
+    """Yield redundant_neurons(code) in turn, given simple_trunks(code)."""
+    for i, t in simple:
         if not t.member_masks:
             continue
         bit = 1 << (i - 1)
         witness = t.generator_mask & ~bit
         if trunk_of(code, witness).member_masks == t.member_masks:
-            out.append((i, frozenset(mask_members(witness))))
-    return out
+            yield i, frozenset(mask_members(witness))
 
 
 def is_reduced(code: Code) -> bool:
@@ -53,7 +56,9 @@ def is_reduced(code: Code) -> bool:
     That makes i -> Tk(i) injective too: if Tk(i) = Tk(j) for i != j, then j
     lies in the generator g of Tk(i), so Tk(g - i) = Tk(i) and i is redundant.
     """
-    return not trivial_neurons(code) and not redundant_neurons(code)
+    simple = simple_trunks(code)
+    return (all(t.member_masks for _, t in simple)
+            and next(_redundant(code, simple), None) is None)
 
 
 @dataclass(frozen=True)
@@ -127,9 +132,10 @@ def _min_relabeling(masks: Collection[int], n: int,
     nodes; None removes the cap.
     """
     full = (1 << n) - 1
-    keys = [(m.bit_count() << n) | full for m in masks]
-    holders = [[w for w, m in enumerate(masks) if m >> o & 1] for o in range(n)]
-    mask_set = frozenset(masks)
+    words = tuple(masks)
+    keys = [(m.bit_count() << n) | full for m in words]
+    holders = [[w for w, m in enumerate(words) if m >> o & 1] for o in range(n)]
+    mask_set = frozenset(words)
     label = [0] * n  # label[o] is the new label of neuron o+1; 0 while unset
     best_key: list[int] | None = None
     best_perm: tuple[int, ...] = ()
@@ -142,10 +148,11 @@ def _min_relabeling(masks: Collection[int], n: int,
             keys[w] ^= bit
 
     def mirrored(a: int, b: int) -> bool:
-        # Does swapping neurons a and b fix the code?
+        # Does swapping neurons a and b fix the code?  Only a word holding
+        # exactly one of them moves, and every such word holds a or b.
         ab = (1 << a) | (1 << b)
-        return all((m ^ ab if (m >> a ^ m >> b) & 1 else m) in mask_set
-                   for m in masks)
+        return all(m ^ ab in mask_set for m in (words[w] for w in holders[a] + holders[b])
+                   if (m >> a ^ m >> b) & 1)
 
     def orbits(fixed: int) -> list[int]:
         # The least neuron of each neuron's orbit under the automorphisms
@@ -248,7 +255,7 @@ def _min_relabeling(masks: Collection[int], n: int,
 
     rec(0, sorted(keys), 0)
     canon = [sum(1 << (best_perm[o] - 1) for o in range(n) if m >> o & 1)
-             for m in masks]
+             for m in words]
     return canon, best_perm
 
 
@@ -256,7 +263,9 @@ def canonical_form(code: Code, max_nodes: int | None = DEFAULT_MAX_NODES) -> Can
     """Reduce, then permutation-minimize under the fixed total order.
     Refuses with ResourceCapError once the search for the least relabeling
     would visit more than max_nodes nodes; None removes the cap."""
-    red = reduce_code(code).reduced
+    # reduce_code(code).reduced, without the Morphism and origins it also
+    # builds: a reduced code is its own reduction.
+    red = code if is_reduced(code) else Morphism(code, tuple(irreducible_trunks(code))).image()
     masks, perm = _min_relabeling(red.masks, red.n, max_nodes)
     return CanonicalForm(Code(red.n, masks), perm)
 

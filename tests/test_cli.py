@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import codecat as codecat_pkg
 from codecat import morphism_from_obj, parse_code
 from codecat.cli import main
 
@@ -155,6 +158,17 @@ def test_is_morphism_and_decompose(capsys):
     bad["pairs"] = [[b, a] for a, b in bad["pairs"]]
     rc, out, _ = run(capsys, "decompose", json.dumps(bad))
     assert rc == 1 and out == "not a morphism\n"
+
+
+def test_decompose_checks_each_preimage_once(capsys, monkeypatch):
+    from codecat import morphisms
+    checks = []
+    real = morphisms.is_trunk
+    monkeypatch.setattr(morphisms, "is_trunk",
+                        lambda *args: checks.append(args) or real(*args))
+    rc, out, _ = run(capsys, "decompose", BIJ)
+    # one check per codomain neuron; test_is_morphism_and_decompose pins the refusal
+    assert (rc, out, len(checks)) == (0, "1: 1\n2: 12\n3: 3\n4: 23\n", 4)
 
 
 def test_product_coproduct(capsys):
@@ -341,3 +355,39 @@ def test_local_obs_goldens(capsys):
     lines = out.splitlines()
     assert (rc, err, len(lines)) == (0, "", 20)
     assert sum(line.endswith(": no_obstruction") for line in lines) == 18
+
+
+def codecat(*argv: str) -> subprocess.CompletedProcess:
+    """`python -W error -m codecat.cli *argv` in a fresh interpreter, with
+    the package imported from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(codecat_pkg.__file__).parents[1]))
+    env.pop("CODECAT_CACHE_DIR", None)
+    return subprocess.run([sys.executable, "-W", "error", "-m", "codecat.cli", *argv],
+                          capture_output=True, env=env)
+
+
+def test_cache_hit_prints_what_the_miss_and_an_uncached_run_print(tmp_path):
+    cache = str(tmp_path / "cache")
+    runs = [codecat("images", CF, "--cache", cache, "--json"),
+            codecat("images", CF, "--cache", cache, "--json"),
+            codecat("images", CF, "--cache", cache),
+            codecat("images", CF, "--no-cache")]
+    assert [(p.returncode, p.stderr) for p in runs] == [(0, b"")] * 4
+    miss, hit, hit_text, plain = (p.stdout for p in runs)
+    assert miss == hit and hit_text == plain
+    assert len(json.loads(miss)["images"]) == 178
+
+
+def test_filtered_walks_print_what_full_censuses_and_cache_hits_print(tmp_path):
+    cache = str(tmp_path / "cache")
+    runs = [codecat("diff-images", CF, DF, EF, "--no-cache"),
+            codecat("diff-images", CF, DF, EF, "--cache", cache),
+            codecat("diff-images", CF, DF, EF, "--cache", cache),
+            codecat("member", CF, C1),
+            codecat("member", C1, C0)]
+    assert [(p.returncode, p.stderr) for p in runs] == [(0, b"")] * 5
+    filtered, censuses, hits, cf_c1, c1_c0 = (p.stdout for p in runs)
+    assert filtered == censuses == hits
+    assert filtered.count(b"\n") == 4
+    assert cf_c1 == b"1: 3\n2: 1\n3: 14\n4: 23\n5: 34\n6: 45\n"
+    assert c1_c0 == b"1: 5\n2: 1\n3: 26\n4: 45\n5: 56\n6: 36\n"

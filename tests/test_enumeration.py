@@ -23,6 +23,7 @@ from helpers import (cycle_code, difference_by_censuses, edge_codes, hollow_tria
                      stays_irredundant_by_pairs)
 
 C5 = parse_code("{12,23,1,3,0}")
+D5 = parse_code("{12,34,1,3,0}")
 CF = parse_code("{2345,123,134,145,13,14,23,34,45,3,4,0}")
 DF = parse_code("{2345,234,345,123,134,145,13,14,23,34,45,3,4,0}")
 EF = parse_code("{2345,123,134,145,13,14,23,34,45,3,4,1,0}")
@@ -218,10 +219,10 @@ def test_cache_roundtrip(tmp_path):
     assert list(tmp_path.glob("images-*.json")) == files
 
 
-def test_cache_recovers_from_corruption(tmp_path):
-    cached_enumerate(C5, tmp_path)
-    (path,) = tmp_path.glob("images-*.json")
-    good = json.loads(path.read_text())
+def corrupted_entries(code: Code, good: dict) -> list[str]:
+    """Damaged spellings of good, the intact cache entry of code, each of
+    which a lookup must refuse, recompute and overwrite.  One of them is the
+    entry of D5, so code must not be isomorphic to D5."""
     emptied = dict(good, images=[])
     bad_stats = [dict(good, stats=dict(good["stats"], **{field: value}))
                  for field, value in [("explored", [1]), ("explored", -3),
@@ -231,7 +232,7 @@ def test_cache_recovers_from_corruption(tmp_path):
                                       ("wall_time", False), ("wall_time", float("nan")),
                                       ("wall_time", float("inf"))]]
     bad_stats.append(dict(good, stats={"explored": -3, "pruned": 2.5, "wall_time": -1}))
-    other = enumeration._entry_text(enumerate_reduced_images(parse_code("{12,34,1,3,0}")))
+    other = enumeration._entry_text(enumerate_reduced_images(D5))
     letters = dict(good, source_witness="abc")
     repeated = dict(good, source_witness=[9, 9, 9])
     # Faults in the packed codes.  The extra images keep the source list
@@ -240,14 +241,21 @@ def test_cache_recovers_from_corruption(tmp_path):
     assert last != good["source"]
     bad_codes = [dict(good, images=good["images"] + [extra])
                  for extra in [[], 7, "[3,1]", {"n": 0, "words": [[]]}, [True, 1],
-                               [65, 1], [*last, -1], [*last, 1 << last[0]], [*last, True]]]
+                               [65, 1], [*last, -1], [*last, 1 << last[0]], [*last, True],
+                               [*last, [1, 2]]]]
     bad_codes += [dict(good, source={"n": 3, "words": [[1], []]}),
                   dict(good, images={"a": good["source"]}),
-                  image_set_to_obj(enumerate_reduced_images(C5))]
-    for entry in ["{ not json", "[1,2]", "null", '"text"', "7",
-                  json.dumps(emptied), other, *map(json.dumps, bad_stats),
-                  json.dumps(letters), json.dumps(repeated), *map(json.dumps, bad_codes),
-                  "[" * 50000]:
+                  image_set_to_obj(enumerate_reduced_images(code))]
+    return ["{ not json", "[1,2]", "null", '"text"', "7",
+            json.dumps(emptied), other, *map(json.dumps, bad_stats),
+            json.dumps(letters), json.dumps(repeated), *map(json.dumps, bad_codes),
+            "[" * 50000]
+
+
+def test_cache_recovers_from_corruption(tmp_path):
+    cached_enumerate(C5, tmp_path)
+    (path,) = tmp_path.glob("images-*.json")
+    for entry in corrupted_entries(C5, json.loads(path.read_text())):
         path.write_text(entry)
         again = cached_enumerate(C5, tmp_path)
         assert again.images == enumerate_reduced_images(C5).images
@@ -323,11 +331,75 @@ def test_cache_hits_read_back_seeded_censuses(tmp_path, monkeypatch):
 
 
 def test_difference_uses_cache_dir(tmp_path):
-    d5 = parse_code("{12,34,1,3,0}")
-    diff = image_set_difference(d5, [C5], cache_dir=tmp_path)
+    diff = image_set_difference(D5, [C5], cache_dir=tmp_path)
     assert len(list(tmp_path.glob("images-*.json"))) == 2
-    again = image_set_difference(d5, [C5], cache_dir=tmp_path)
+    again = image_set_difference(D5, [C5], cache_dir=tmp_path)
     assert diff == again
+
+
+def difference_calls(seed: int) -> list[tuple[Code, list[Code]]]:
+    """Seeded (target, baselines) calls on random codes and their seeded
+    relabellings: calls that name one class two or three times, and calls
+    whose target is also a baseline."""
+    rng = random.Random(seed)
+    codes = random_codes(6, seed, n=5, max_words=7) + [C5, D5]
+    calls = []
+    for _ in range(12):
+        target, other = rng.sample(codes, 2)
+        twice = random_relabelling(rng, other)
+        calls.append((target, [other, twice]))
+        calls.append((target, [random_relabelling(rng, target), other]))
+        calls.append((random_relabelling(rng, other), [twice, other, target]))
+    return calls
+
+
+@pytest.mark.parametrize("seed", [17, 18])
+def test_cached_difference_equals_uncached_cold_and_warm(tmp_path, seed):
+    for i, (target, baselines) in enumerate(difference_calls(seed)):
+        want = image_set_difference(target, baselines)
+        assert want == difference_by_censuses(
+            target, baselines, lambda code: enumerate_reduced_images(code).images)
+        cold = tmp_path / f"cold-{i}"
+        assert image_set_difference(target, baselines, cache_dir=cold) == want
+        assert image_set_difference(target, baselines, cache_dir=cold) == want
+        assert image_set_difference(target, baselines, cache_dir=tmp_path / "warm") == want
+
+
+def test_each_entry_is_read_at_most_once_per_call(tmp_path, monkeypatch):
+    reads = []
+    read_text = Path.read_text
+    monkeypatch.setattr(Path, "read_text",
+                        lambda path, *a, **kw: reads.append(path) or read_text(path, *a, **kw))
+    names_twice = [random_relabelling(random.Random(5), DF), DF, CF]
+    want = image_set_difference(CF, names_twice)
+    # Cold: the two misses write the CF and DF entries and read none, and
+    # the later names of both classes take the census the call holds.
+    assert image_set_difference(CF, names_twice, cache_dir=tmp_path) == want
+    entries = sorted(tmp_path.glob("images-*.json"))
+    assert (len(entries), reads) == (2, [])
+    # Warm: each entry is read once, however often the call names its class.
+    for _ in range(2):
+        reads.clear()
+        assert image_set_difference(CF, names_twice, cache_dir=tmp_path) == want
+        assert sorted(reads) == entries
+
+
+@pytest.mark.parametrize("role", ["target", "baseline"])
+def test_difference_recovers_from_a_corrupt_entry(tmp_path, role):
+    target, baselines = (C5, [D5]) if role == "target" else (D5, [C5])
+    want = image_set_difference(target, baselines)
+    census = enumerate_reduced_images(C5)
+    cached_enumerate(C5, tmp_path)
+    (path,) = tmp_path.glob("images-*.json")
+    image_set_difference(target, baselines, cache_dir=tmp_path)
+    files = sorted(tmp_path.iterdir())
+    for entry in corrupted_entries(C5, json.loads(path.read_text())):
+        path.write_text(entry)
+        assert image_set_difference(target, baselines, cache_dir=tmp_path) == want
+        assert path.read_text() != entry  # recomputed and rewritten
+        rewritten = json.loads(path.read_text())
+        assert rewritten["images"] == [[c.n, *c.masks] for c in census.images]
+        assert sorted(tmp_path.iterdir()) == files  # no temporary file left
 
 
 def test_df_census_walk_pinned_serial_and_pooled():

@@ -226,7 +226,9 @@ def search_and_reference(masks, n):
 def test_search_matches_swap_only_reference():
     # automorphism pruning and the bound must keep the first least leaf, so
     # the witness as well as the canonical code; symmetric inputs also as
-    # seeded relabellings, which search other trees
+    # seeded relabellings, which search other trees.  The swap test reads
+    # only the words that hold either neuron, so every code is also passed
+    # as the frozenset a census passes, in that set's word order.
     codes = []
     for n in range(2, 8):
         codes += random_codes(60, 800 + n, n=n, max_words=min(1 << n, 24))
@@ -240,11 +242,13 @@ def test_search_matches_swap_only_reference():
         perm = list(range(1, code.n + 1))
         rng.shuffle(perm)
         relabelled.append(relabel_code(code, perm))
-    codes += edge_codes() + symmetric + relabelled + [parse_code(t) for t in PAPER]
+    large = [cycle_code(n) for n in (16, 20, 24)] + [hollow_triangles(6, False)]
+    codes += edge_codes() + symmetric + relabelled + large + [parse_code(t) for t in PAPER]
     for code in codes:
         red = reduce_code(code).reduced
-        got, ref = search_and_reference(red.masks, red.n)
-        assert got == ref, format_code(code)
+        for masks in (red.masks, red.mask_set):
+            got, ref = search_and_reference(masks, red.n)
+            assert got == ref, format_code(code, "json")
 
 
 def test_search_matches_reference_on_every_difference_labelling(monkeypatch):
