@@ -259,14 +259,16 @@ def _subtree_job(args):
 
 def enumerate_reduced_images(code: Code, *, jobs: int = 1,
                              max_trunks: int | None = DEFAULT_TRUNK_CAP,
-                             _labels: dict | None = None) -> ImageSet:
+                             _labels: dict | None = None,
+                             _source: CanonicalForm | None = None) -> ImageSet:
     """The set {canonical_form(image(f)) : f a morphism out of code}.
 
     Deterministic for a given input; refuses codes whose trunk family
     exceeds max_trunks.  jobs is accepted for compatibility and unused: the
     walk runs in this process.  _labels is the labelling cache of
     _canonical_of_reduced_masks to use, for callers that run several
-    censuses.
+    censuses, and _source is canonical_form(code) when the caller already
+    holds it.
     """
     t0 = time.monotonic()
     words, pool = _index_pool(code, max_trunks)
@@ -277,7 +279,8 @@ def enumerate_reduced_images(code: Code, *, jobs: int = 1,
     counters = [0, 0]
     _collect(_walk(pool, members, [], images, 0, counters), images, found, labels)
     stats = EnumerationStats(counters[0], counters[1], time.monotonic() - t0)
-    return ImageSet(canonical_form(code), tuple(sorted(found, key=_code_key)), stats)
+    source = canonical_form(code) if _source is None else _source
+    return ImageSet(source, tuple(sorted(found, key=_code_key)), stats)
 
 
 def verify_image_membership(source: Code, target: Code,
@@ -475,7 +478,8 @@ def cached_enumerate(code: Code, cache_dir: Path | str, *, jobs: int = 1,
     path = cdir / f"images-{digest}.json"
     result = _read_entry(path, source)
     if result is None:
-        result = enumerate_reduced_images(code, max_trunks=max_trunks, _labels=_labels)
+        result = enumerate_reduced_images(code, max_trunks=max_trunks, _labels=_labels,
+                                          _source=source)
         cdir.mkdir(parents=True, exist_ok=True)
         # A temporary file of its own per writer, so concurrent runs never
         # interleave their bytes; os.replace publishes it whole.

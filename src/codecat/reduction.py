@@ -118,7 +118,13 @@ def _min_relabeling(masks: Collection[int], n: int,
     | (full ^ rank) sorts exactly like (size, sorted labels padded with an
     infinite label); a label not yet given is a missing bit.  A branch is cut
     when a lower bound on every completion of its word list already loses to
-    the incumbent (see provably_worse).
+    the incumbent (see provably_worse), and the siblings after it are cut with
+    it: every key of a sibling holds the same labels except the one just
+    given, so two siblings' partial keys differ only at or above that bit,
+    while the bound clears bits below it alone.  The bound is thus monotone
+    in sibling order, and every later sibling loses too.  The best leaf's
+    keys, in input word order, give the canonical words: word k's mask is
+    the n-bit reversal of its rank, full & ~key.
 
     Symmetric siblings are cut as in individualise-and-refine search.  A leaf
     that ties the incumbent, or a swap of two sibling neurons that fixes the
@@ -139,13 +145,10 @@ def _min_relabeling(masks: Collection[int], n: int,
     label = [0] * n  # label[o] is the new label of neuron o+1; 0 while unset
     best_key: list[int] | None = None
     best_perm: tuple[int, ...] = ()
+    best_keys: list[int] = []  # keys at the best leaf, in input word order
     # Automorphisms found so far: (mask of the neurons moved, [(o, image)]).
     autos: list[tuple[int, list[tuple[int, int]]]] = []
     left = max_nodes
-
-    def give(o: int, bit: int) -> None:
-        for w in holders[o]:
-            keys[w] ^= bit
 
     def mirrored(a: int, b: int) -> bool:
         # Does swapping neurons a and b fix the code?  Only a word holding
@@ -198,7 +201,7 @@ def _min_relabeling(masks: Collection[int], n: int,
         return False
 
     def rec(q: int, sig: list[int], fixed: int):
-        nonlocal best_key, best_perm, left
+        nonlocal best_key, best_perm, best_keys, left
         if left is not None:
             if not left:
                 raise ResourceCapError(
@@ -207,7 +210,7 @@ def _min_relabeling(masks: Collection[int], n: int,
             left -= 1
         if q == n:
             if best_key is None or sig < best_key:
-                best_key, best_perm = sig, tuple(label)
+                best_key, best_perm, best_keys = sig, tuple(label), keys[:]
             elif sig == best_key:
                 # best_perm^-1 . label maps the code onto itself.
                 old = [0] * n
@@ -223,9 +226,12 @@ def _min_relabeling(masks: Collection[int], n: int,
         cands = []
         for o in range(n):
             if not label[o] and (root is None or root[o] == o):
-                give(o, bit)
+                held = holders[o]
+                for w in held:
+                    keys[w] ^= bit
                 cands.append((sorted(keys), o))
-                give(o, bit)
+                for w in held:
+                    keys[w] ^= bit
         cands.sort()
         seen: list[int] = []
         twins: list[int] = []  # kept siblings whose sig is the current one
@@ -246,16 +252,18 @@ def _min_relabeling(masks: Collection[int], n: int,
                     continue
             twins.append(o)
             if best_key is not None and provably_worse(sig, bit):
-                continue
+                break
             label[o] = q + 1
-            give(o, bit)
+            held = holders[o]
+            for w in held:
+                keys[w] ^= bit
             rec(q + 1, sig, fixed | 1 << o)
-            give(o, bit)
+            for w in held:
+                keys[w] ^= bit
             label[o] = 0
 
     rec(0, sorted(keys), 0)
-    canon = [sum(1 << (best_perm[o] - 1) for o in range(n) if m >> o & 1)
-             for m in words]
+    canon = [int(f"{full & ~k:0{n}b}"[::-1], 2) for k in best_keys]
     return canon, best_perm
 
 

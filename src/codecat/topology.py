@@ -11,7 +11,8 @@ open.  A code whose missing-face links are all collapsible is locally great.
 Every state of the collapse search is downward closed, so a face is free
 exactly when just one of its one-vertex covers is a face, and free faces are
 found from those lookups alone.  A complex whose facets share a vertex is a
-cone, hence contractible, so its homology needs no boundary rank.
+cone, hence contractible, so its homology needs no boundary rank.  A link
+with one nonempty facet is a simplex, and its entry lists no face at all.
 """
 
 from __future__ import annotations
@@ -264,13 +265,20 @@ def local_obstruction_report(code: Code, cap: int = DEFAULT_FACE_CAP) -> Obstruc
     entries = []
     for smask in missing:
         lk = link(k, smask)
-        betti = f2_reduced_homology(lk, cap)
+        # A link with one nonempty facet is a simplex: acyclic and
+        # collapsible, so none of its faces is listed.  No cap could refuse
+        # it, as it has no more faces than k, whose faces were listed within
+        # the cap.  A lone empty facet would be {empty}, with a reduced
+        # H_-1; only a facet of k, which is a word, has that link.
+        simplex = len(lk.facets) == 1 and 0 not in lk.facets
+        betti = (dict.fromkeys(range(-1, lk.dim() + 1), 0) if simplex
+                 else f2_reduced_homology(lk, cap))
         if any(betti.values()):
             # nonzero homology rules collapsibility out
             coll, verdict = False, "obstruction_first_kind"
         else:
             try:
-                coll = is_collapsible(lk, cap)
+                coll = simplex or is_collapsible(lk, cap)
             except ResourceCapError:
                 coll = None
             verdict = {True: "no_obstruction", None: "contractibility_unknown",

@@ -9,6 +9,7 @@ from unittest import mock
 from codecat import Code, Morphism, ResourceCapError, Trunk, canonical_form, topology
 from codecat.codes import MAX_NEURONS, _word_key, mask_members
 from codecat.enumeration import _canonical_of_reduced_masks, _index_pool, _trunk_words, _walk
+from codecat.reduction import DEFAULT_MAX_NODES
 from codecat.trunks import _index_members
 
 
@@ -308,6 +309,166 @@ def min_relabeling_by_swaps(masks: Collection[int], n: int):
     return canon, best_perm
 
 
+def min_relabeling_full_sibling_scan(masks: Collection[int], n: int,
+                                      max_nodes: int | None = DEFAULT_MAX_NODES):
+    """Lexicographically least relabeling of a code on neurons 1..n, given by
+    its word masks.  The search as it stood before its sibling loop stopped
+    at the first sibling the bound cuts and before it read the canonical
+    words off the best leaf's keys, plus a count of the nodes it visits.
+    Reference for reduction._min_relabeling, which must return the same
+    canonical masks and perm and visit no more nodes.
+
+    Returns (canonical word masks, perm, nodes) where perm[i-1] is the new
+    label of neuron i and nodes is the number of nodes visited.  Branch and
+    bound over which old neuron gets each new label in turn, siblings in
+    order of their partial word lists.  Each word is one integer order key:
+    label q is bit n-q of the word's rank, so (size << n) | (full ^ rank)
+    sorts exactly like (size, sorted labels padded with an infinite label);
+    a label not yet given is a missing bit.  A branch is cut when a lower
+    bound on every completion of its word list already loses to the
+    incumbent (see provably_worse).
+
+    Symmetric siblings are cut as in individualise-and-refine search.  A leaf
+    that ties the incumbent, or a swap of two sibling neurons that fixes the
+    code, is an automorphism; a sibling is skipped when automorphisms that
+    fix every labelled neuron map an earlier sibling onto it, since its
+    subtree then holds the same keys as one already searched.  Every cut
+    keeps the first least leaf in sibling order, so the result does not
+    depend on which automorphisms were found.
+
+    Raises ResourceCapError once the search would visit more than max_nodes
+    nodes; None removes the cap.
+    """
+    full = (1 << n) - 1
+    words = tuple(masks)
+    keys = [(m.bit_count() << n) | full for m in words]
+    holders = [[w for w, m in enumerate(words) if m >> o & 1] for o in range(n)]
+    mask_set = frozenset(words)
+    label = [0] * n  # label[o] is the new label of neuron o+1; 0 while unset
+    best_key: list[int] | None = None
+    best_perm: tuple[int, ...] = ()
+    # Automorphisms found so far: (mask of the neurons moved, [(o, image)]).
+    autos: list[tuple[int, list[tuple[int, int]]]] = []
+    left = max_nodes
+    nodes = 0
+
+    def give(o: int, bit: int) -> None:
+        for w in holders[o]:
+            keys[w] ^= bit
+
+    def mirrored(a: int, b: int) -> bool:
+        # Does swapping neurons a and b fix the code?  Only a word holding
+        # exactly one of them moves, and every such word holds a or b.
+        ab = (1 << a) | (1 << b)
+        return all(m ^ ab in mask_set for m in (words[w] for w in holders[a] + holders[b])
+                   if (m >> a ^ m >> b) & 1)
+
+    def orbits(fixed: int) -> list[int]:
+        # The least neuron of each neuron's orbit under the automorphisms
+        # found so far that move no neuron of fixed (a union-find whose
+        # roots are the least members, so one pass in order flattens it).
+        root = list(range(n))
+        for moved, pairs in autos:
+            if moved & fixed:
+                continue
+            for a, b in pairs:
+                while root[a] != a:
+                    a = root[a]
+                while root[b] != b:
+                    b = root[b]
+                if a < b:
+                    root[b] = a
+                elif b < a:
+                    root[a] = b
+        for o in range(n):
+            root[o] = root[root[o]]
+        return root
+
+    def provably_worse(sig: list[int], top: int) -> bool:
+        # True only when every completion of the current assignment compares
+        # greater than the incumbent; top is the bit of the label just given.
+        # A word with u unlabelled neurons gets at best the next u free
+        # labels.  Words with one partial key and one unlabelled neuron hold
+        # distinct neurons, so the r-th of them gets at best the r-th free
+        # label.  Partial keys that differ differ above the free labels, so
+        # these bounds keep sig's order and bound the completed list slot by
+        # slot.
+        prev = r = 0
+        for v, b in zip(sig, best_key):
+            u = (v >> n) - n + (v & full).bit_count()
+            if u == 1:
+                r = r + 1 if v == prev else 0
+                prev = v
+                v ^= top >> (r + 1)
+            elif u:
+                v ^= top - (top >> u)
+            if v != b:
+                return v > b
+        return False
+
+    def rec(q: int, sig: list[int], fixed: int):
+        nonlocal best_key, best_perm, left, nodes
+        nodes += 1
+        if left is not None:
+            if not left:
+                raise ResourceCapError(
+                    f"canonical labelling search exceeded its cap of {max_nodes} "
+                    "nodes; raise max_nodes to search anyway")
+            left -= 1
+        if q == n:
+            if best_key is None or sig < best_key:
+                best_key, best_perm = sig, tuple(label)
+            elif sig == best_key:
+                # best_perm^-1 . label maps the code onto itself.
+                old = [0] * n
+                for o, new in enumerate(best_perm):
+                    old[new - 1] = o
+                pairs = [(o, old[label[o] - 1]) for o in range(n)
+                         if old[label[o] - 1] != o]
+                autos.append((sum(1 << o for o, _ in pairs), pairs))
+            return
+        bit = 1 << (n - q - 1)  # label q+1
+        found = len(autos)
+        root = orbits(fixed) if found else None
+        cands = []
+        for o in range(n):
+            if not label[o] and (root is None or root[o] == o):
+                give(o, bit)
+                cands.append((sorted(keys), o))
+                give(o, bit)
+        cands.sort()
+        seen: list[int] = []
+        twins: list[int] = []  # kept siblings whose sig is the current one
+        last = None
+        for sig, o in cands:
+            if len(autos) != found:
+                found = len(autos)
+                root = orbits(fixed)
+            if root is not None and any(root[s] == root[o] for s in seen):
+                continue
+            seen.append(o)
+            if sig != last:
+                last, twins = sig, []
+            else:
+                twin = next((t for t in twins if mirrored(t, o)), None)
+                if twin is not None:
+                    autos.append(((1 << twin) | (1 << o), [(twin, o)]))
+                    continue
+            twins.append(o)
+            if best_key is not None and provably_worse(sig, bit):
+                continue
+            label[o] = q + 1
+            give(o, bit)
+            rec(q + 1, sig, fixed | 1 << o)
+            give(o, bit)
+            label[o] = 0
+
+    rec(0, sorted(keys), 0)
+    canon = [sum(1 << (best_perm[o] - 1) for o in range(n) if m >> o & 1)
+             for m in words]
+    return canon, best_perm, nodes
+
+
 def tuple_word_key(mask: int) -> tuple[int, tuple[int, ...]]:
     """The package's word order spelled out: size, then the sorted 1-based
     members compared lexicographically.  Reference for the order of
@@ -387,8 +548,30 @@ def reduced_homology_by_ranks(k: topology.SimplicialComplex,
 
 
 def obstruction_report_by_references(code: Code) -> topology.ObstructionReport:
-    """local_obstruction_report with free_pairs_by_scan and
-    reduced_homology_by_ranks in place of the fast versions."""
-    with mock.patch.object(topology, "_free_pairs", free_pairs_by_scan), \
-            mock.patch.object(topology, "f2_reduced_homology", reduced_homology_by_ranks):
-        return topology.local_obstruction_report(code)
+    """local_obstruction_report spelled out without its shortcuts: every
+    link, a simplex too, goes through reduced_homology_by_ranks and, when
+    acyclic, a collapse search over free_pairs_by_scan."""
+    k = topology.simplicial_complex(code)
+    entries = []
+    for smask in sorted(k.face_masks() - code.mask_set, key=_word_key):
+        lk = topology.link(k, smask)
+        betti = reduced_homology_by_ranks(lk)
+        if any(betti.values()):
+            coll, verdict = False, "obstruction_first_kind"
+        else:
+            try:
+                with mock.patch.object(topology, "_free_pairs", free_pairs_by_scan):
+                    coll = topology.is_collapsible(lk)
+            except ResourceCapError:
+                coll = None
+            verdict = {True: "no_obstruction", None: "contractibility_unknown",
+                       False: "obstruction_second_kind_only"}[coll]
+        entries.append(topology.ObstructionEntry(
+            frozenset(mask_members(smask)), lk.facet_words, tuple(sorted(betti.items())),
+            coll, verdict))
+    verdicts = {e.verdict for e in entries}
+    good = ("no" if "obstruction_first_kind" in verdicts
+            else "yes" if verdicts <= {"no_obstruction"} else "unknown")
+    colls = {e.collapsible for e in entries}
+    great = True if colls <= {True} else False if False in colls else None
+    return topology.ObstructionReport(code, tuple(entries), good, great)

@@ -357,13 +357,30 @@ def test_local_obs_goldens(capsys):
     assert sum(line.endswith(": no_obstruction") for line in lines) == 18
 
 
-def codecat(*argv: str) -> subprocess.CompletedProcess:
-    """`python -W error -m codecat.cli *argv` in a fresh interpreter, with
-    the package imported from this checkout."""
+def python(*argv: str) -> subprocess.CompletedProcess:
+    """`python -W error *argv` in a fresh interpreter, with the package
+    imported from this checkout."""
     env = dict(os.environ, PYTHONPATH=str(Path(codecat_pkg.__file__).parents[1]))
     env.pop("CODECAT_CACHE_DIR", None)
-    return subprocess.run([sys.executable, "-W", "error", "-m", "codecat.cli", *argv],
-                          capture_output=True, env=env)
+    return subprocess.run([sys.executable, "-W", "error", *argv], capture_output=True, env=env)
+
+
+def codecat(*argv: str) -> subprocess.CompletedProcess:
+    """`python -W error -m codecat.cli *argv`, as python() runs it."""
+    return python("-m", "codecat.cli", *argv)
+
+
+def test_selftest_passes_with_warnings_as_errors():
+    proc = codecat("selftest")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.splitlines()[-1] == b"all checks passed (20 run)"
+
+
+@pytest.mark.parametrize("demo", sorted((Path(__file__).parents[1] / "demos").glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_demo_runs_with_warnings_as_errors(demo):
+    proc = python(str(demo))
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_cache_hit_prints_what_the_miss_and_an_uncached_run_print(tmp_path):

@@ -297,6 +297,22 @@ def test_cache_entry_and_hit_match_the_uncached_census(tmp_path):
         assert hit.source == canonical_form(code)
 
 
+def test_cold_cache_lookup_labels_its_source_once(tmp_path, monkeypatch):
+    # The entry key's canonical form is the census's source: a miss labels
+    # the source once, as a hit does, and writes the entry the uncached
+    # census packs to, byte for byte but for its own wall time.
+    reference = enumerate_reduced_images(DF)
+    calls = count_calls(monkeypatch, "canonical_form")
+    miss = cached_enumerate(DF, tmp_path)
+    assert len(calls) == 1
+    hit = cached_enumerate(DF, tmp_path)
+    assert len(calls) == 2
+    (path,) = tmp_path.glob("images-*.json")
+    timed = enumeration.ImageSet(reference.source, reference.images, miss.stats)
+    assert path.read_text() == packed_entry(timed) == packed_entry(miss)
+    assert hit == miss
+
+
 def test_cache_never_reads_an_older_format(tmp_path):
     # An intact entry of the previous format, under the name that format
     # gave it, is neither read nor overwritten: the call writes the new

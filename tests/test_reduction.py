@@ -11,7 +11,8 @@ from codecat import (Code, ResourceCapError, canonical_form, enumeration, format
 from codecat.reduction import _min_relabeling
 
 from helpers import (cycle_code, edge_codes, hollow_triangles, is_reduced_by_lattice,
-                     min_relabeling_by_swaps, power_set_with_copy, random_codes)
+                     min_relabeling_by_swaps, min_relabeling_full_sibling_scan,
+                     power_set_with_copy, random_codes)
 
 
 def relabel_code(code, perm):
@@ -223,12 +224,9 @@ def search_and_reference(masks, n):
     return (list(got[0]), got[1]), (list(ref[0]), ref[1])
 
 
-def test_search_matches_swap_only_reference():
-    # automorphism pruning and the bound must keep the first least leaf, so
-    # the witness as well as the canonical code; symmetric inputs also as
-    # seeded relabellings, which search other trees.  The swap test reads
-    # only the words that hold either neuron, so every code is also passed
-    # as the frozenset a census passes, in that set's word order.
+def search_corpus() -> list[Code]:
+    """Random, edge, symmetric, relabelled symmetric, large symmetric and
+    paper codes for the search and its references."""
     codes = []
     for n in range(2, 8):
         codes += random_codes(60, 800 + n, n=n, max_words=min(1 << n, 24))
@@ -243,19 +241,26 @@ def test_search_matches_swap_only_reference():
         rng.shuffle(perm)
         relabelled.append(relabel_code(code, perm))
     large = [cycle_code(n) for n in (16, 20, 24)] + [hollow_triangles(6, False)]
-    codes += edge_codes() + symmetric + relabelled + large + [parse_code(t) for t in PAPER]
-    for code in codes:
+    return codes + edge_codes() + symmetric + relabelled + large + [parse_code(t) for t in PAPER]
+
+
+def test_search_matches_swap_only_reference():
+    # automorphism pruning and the bound must keep the first least leaf, so
+    # the witness as well as the canonical code; symmetric inputs also as
+    # seeded relabellings, which search other trees.  The swap test reads
+    # only the words that hold either neuron, so every code is also passed
+    # as the frozenset a census passes, in that set's word order.
+    for code in search_corpus():
         red = reduce_code(code).reduced
         for masks in (red.masks, red.mask_set):
             got, ref = search_and_reference(masks, red.n)
             assert got == ref, format_code(code, "json")
 
 
-def test_search_matches_reference_on_every_difference_labelling(monkeypatch):
-    # every distinct (k, signature) request of the CF, DF and EF censuses
-    # sharing one labelling cache, as a difference with cache_dir runs
-    # them: the search matches the reference on it, and so does the answer,
-    # whether a search or the invariant key gave it
+def difference_labelling_requests(monkeypatch) -> tuple[dict, list]:
+    """Every distinct (k, signature) labelling request of the CF, DF and EF
+    censuses sharing one labelling cache, as a difference with cache_dir
+    runs them, mapped to its answer; and the searches they ran."""
     real = enumeration._canonical_of_reduced_masks
     answers = {}
 
@@ -271,11 +276,34 @@ def test_search_matches_reference_on_every_difference_labelling(monkeypatch):
     for text, count in zip(PAPER[:3], (178, 721, 133)):
         census = enumeration.enumerate_reduced_images(parse_code(text), _labels=labels)
         assert len(census.images) == count
+    return answers, searches
+
+
+def test_search_matches_reference_on_every_difference_labelling(monkeypatch):
+    # the search matches the reference on every request, and so does the
+    # answer, whether a search or the invariant key gave it
+    answers, searches = difference_labelling_requests(monkeypatch)
     for (m, masks), answer in answers.items():
         got, ref = search_and_reference(masks, m)
         assert got == ref
         assert answer == Code(m, ref[0])
     assert (len(answers), len(searches)) == (1540, 902)
+
+
+def test_search_matches_full_sibling_scan_within_its_nodes(monkeypatch):
+    # stopping at the first sibling the bound cuts and reading the words
+    # off the best leaf change neither the result nor, within the frozen
+    # search's node count, the work: on the reference corpus in both word
+    # orders and on every labelling request of the paper's censuses
+    inputs = []
+    for code in search_corpus():
+        red = reduce_code(code).reduced
+        inputs += [(red.masks, red.n), (red.mask_set, red.n)]
+    inputs += [(masks, m) for m, masks in difference_labelling_requests(monkeypatch)[0]]
+    for masks, n in inputs:
+        want_masks, want_perm, nodes = min_relabeling_full_sibling_scan(masks, n)
+        got_masks, got_perm = _min_relabeling(masks, n, nodes)
+        assert (list(got_masks), got_perm) == (list(want_masks), want_perm)
 
 
 @pytest.mark.parametrize("code, nodes", [(hollow_triangles(7, False), 253),

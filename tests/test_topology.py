@@ -324,11 +324,36 @@ def test_homology_matches_ranks_on_complexes_and_cones():
 
 
 def test_report_matches_the_reference_report():
+    # the reference sends every link, a simplex too, through ranks and a
+    # collapse search; {12,23,13} has no simplex link, and one word on n
+    # neurons has a simplex for every link
     rng = random.Random(913)
+    codes = [parse_code("{12,23,13}"), Code(10, [(1 << 10) - 1])]
     for _ in range(150):
         n = rng.randint(0, 8)
-        code = Code(n, rng.sample(range(1 << n), rng.randint(1, min(10, 1 << n))))
+        codes.append(Code(n, rng.sample(range(1 << n), rng.randint(1, min(10, 1 << n)))))
+    for code in codes:
         assert local_obstruction_report(code) == obstruction_report_by_references(code)
+
+
+def test_simplex_links_list_no_faces(monkeypatch):
+    # one word on 13 neurons: 8191 missing faces, each with a simplex for a
+    # link, whose entry is built without homology or a collapse search and
+    # matches what both give (the rank reference takes seconds here)
+    code = Code(13, [(1 << 13) - 1])
+    refuse = mock.Mock(side_effect=AssertionError("a simplex link was searched"))
+    with monkeypatch.context() as m:
+        m.setattr(topology, "f2_reduced_homology", refuse)
+        m.setattr(topology, "is_collapsible", refuse)
+        report = local_obstruction_report(code)
+    assert len(report.entries) == 8191
+    assert (report.locally_good, report.locally_great) == ("yes", True)
+    k = simplicial_complex(code)
+    for e in report.entries:
+        lk = link(k, e.sigma)
+        assert e.betti == tuple(sorted(f2_reduced_homology(lk).items()))
+        assert e.collapsible is is_collapsible(lk) is True
+        assert e.verdict == "no_obstruction"
 
 
 def test_cone_shortcut_keeps_the_face_cap(capsys):
