@@ -116,6 +116,17 @@ class Code:
         return code
 
     @classmethod
+    def _of_ordered_masks(cls, n: int, masks: tuple[int, ...]) -> "Code":
+        """The code Code(n, masks) builds, with masks as its masks tuple.
+
+        Only for masks checked as _of_checked_masks asks, distinct, and
+        already in the order of Code.masks; nothing reads or sorts them
+        again.  The word set is copied from a set, as Code builds it."""
+        code = cls._of_checked_masks(n, set(masks))
+        code._mask_list = masks
+        return code
+
+    @classmethod
     def from_words(cls, words: Iterable[Iterable[int] | int]) -> "Code":
         """Build a code inferring n as the largest neuron mentioned."""
         masks = [word_mask(w) for w in words]

@@ -24,9 +24,12 @@ individualise-and-refine labelling (McKay and Piperno, 2014).  The key is
 itself a relabelling of the image, so images with one key are isomorphic
 and share a canonical form, and isomorphic images reached through other
 trunks often share the key; only an image that misses both lookups is
-searched.  One cache serves every census and walk of an
-image_set_difference call, the cached censuses that miss included; no
-cache outlives its call.  Every walk runs in the calling process.
+searched.  The search returns the canonical words in Code.masks order,
+so the canonical code is built without checking or sorting its words
+again, and neither the census's final sort nor a cache write sorts them.
+One cache serves every census and walk of an image_set_difference call,
+the cached censuses that miss included; no cache outlives its call.
+Every walk runs in the calling process.
 
 A query that only needs to know whether some node matches a target rules
 nodes out first by a cheaper isomorphism invariant, _filter_key: the word
@@ -197,7 +200,7 @@ def _canonical_of_reduced_masks(m: int, masks: frozenset[int],
         key = _invariant_key(m, masks)
         hit = cache.get(key)
         if hit is None:
-            hit = cache[key] = Code(m, _min_relabeling(masks, m)[0])
+            hit = cache[key] = Code._of_ordered_masks(m, _min_relabeling(masks, m)[0])
         cache[(m, masks)] = hit
     return hit
 

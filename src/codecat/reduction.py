@@ -112,19 +112,21 @@ def _min_relabeling(masks: Collection[int], n: int,
     its word masks.
 
     Returns (canonical word masks, perm) where perm[i-1] is the new label of
-    neuron i.  Branch and bound over which old neuron gets each new label in
-    turn, siblings in order of their partial word lists.  Each word is one
-    integer order key: label q is bit n-q of the word's rank, so (size << n)
-    | (full ^ rank) sorts exactly like (size, sorted labels padded with an
-    infinite label); a label not yet given is a missing bit.  A branch is cut
-    when a lower bound on every completion of its word list already loses to
-    the incumbent (see provably_worse), and the siblings after it are cut with
+    neuron i; the masks are a tuple in canonical order, the order that
+    Code(n, masks).masks gives them.  Branch and bound over which old neuron
+    gets each new label in turn, siblings in order of their partial word
+    lists.  Each word is one integer order key: label q is bit n-q of the
+    word's rank, so (size << n) | (full ^ rank) sorts exactly like (size,
+    sorted labels padded with an infinite label), which is codes._word_key's
+    order; a label not yet given is a missing bit.  A branch is cut when a
+    lower bound on every completion of its word list already loses to the
+    incumbent (see provably_worse), and the siblings after it are cut with
     it: every key of a sibling holds the same labels except the one just
     given, so two siblings' partial keys differ only at or above that bit,
     while the bound clears bits below it alone.  The bound is thus monotone
     in sibling order, and every later sibling loses too.  The best leaf's
-    keys, in input word order, give the canonical words: word k's mask is
-    the n-bit reversal of its rank, full & ~key.
+    sorted keys give the canonical words in canonical order: a word's mask
+    is the n-bit reversal of its rank, full & ~key.
 
     Symmetric siblings are cut as in individualise-and-refine search.  A leaf
     that ties the incumbent, or a swap of two sibling neurons that fixes the
@@ -140,12 +142,16 @@ def _min_relabeling(masks: Collection[int], n: int,
     full = (1 << n) - 1
     words = tuple(masks)
     keys = [(m.bit_count() << n) | full for m in words]
-    holders = [[w for w, m in enumerate(words) if m >> o & 1] for o in range(n)]
+    holders: list[list[int]] = [[] for _ in range(n)]  # the words holding each neuron
+    for w, m in enumerate(words):
+        while m:
+            low = m & -m
+            holders[low.bit_length() - 1].append(w)
+            m ^= low
     mask_set = frozenset(words)
     label = [0] * n  # label[o] is the new label of neuron o+1; 0 while unset
     best_key: list[int] | None = None
     best_perm: tuple[int, ...] = ()
-    best_keys: list[int] = []  # keys at the best leaf, in input word order
     # Automorphisms found so far: (mask of the neurons moved, [(o, image)]).
     autos: list[tuple[int, list[tuple[int, int]]]] = []
     left = max_nodes
@@ -201,7 +207,7 @@ def _min_relabeling(masks: Collection[int], n: int,
         return False
 
     def rec(q: int, sig: list[int], fixed: int):
-        nonlocal best_key, best_perm, best_keys, left
+        nonlocal best_key, best_perm, left
         if left is not None:
             if not left:
                 raise ResourceCapError(
@@ -210,7 +216,7 @@ def _min_relabeling(masks: Collection[int], n: int,
             left -= 1
         if q == n:
             if best_key is None or sig < best_key:
-                best_key, best_perm, best_keys = sig, tuple(label), keys[:]
+                best_key, best_perm = sig, tuple(label)
             elif sig == best_key:
                 # best_perm^-1 . label maps the code onto itself.
                 old = [0] * n
@@ -226,12 +232,11 @@ def _min_relabeling(masks: Collection[int], n: int,
         cands = []
         for o in range(n):
             if not label[o] and (root is None or root[o] == o):
-                held = holders[o]
-                for w in held:
-                    keys[w] ^= bit
-                cands.append((sorted(keys), o))
-                for w in held:
-                    keys[w] ^= bit
+                cand = keys[:]
+                for w in holders[o]:
+                    cand[w] ^= bit
+                cand.sort()
+                cands.append((cand, o))
         cands.sort()
         seen: list[int] = []
         twins: list[int] = []  # kept siblings whose sig is the current one
@@ -263,8 +268,7 @@ def _min_relabeling(masks: Collection[int], n: int,
             label[o] = 0
 
     rec(0, sorted(keys), 0)
-    canon = [int(f"{full & ~k:0{n}b}"[::-1], 2) for k in best_keys]
-    return canon, best_perm
+    return tuple([int(f"{full & ~k:0{n}b}"[::-1], 2) for k in best_key]), best_perm
 
 
 def canonical_form(code: Code, max_nodes: int | None = DEFAULT_MAX_NODES) -> CanonicalForm:
@@ -275,7 +279,7 @@ def canonical_form(code: Code, max_nodes: int | None = DEFAULT_MAX_NODES) -> Can
     # builds: a reduced code is its own reduction.
     red = code if is_reduced(code) else Morphism(code, tuple(irreducible_trunks(code))).image()
     masks, perm = _min_relabeling(red.masks, red.n, max_nodes)
-    return CanonicalForm(Code(red.n, masks), perm)
+    return CanonicalForm(Code._of_ordered_masks(red.n, masks), perm)
 
 
 def is_isomorphic(a: Code, b: Code, max_nodes: int | None = DEFAULT_MAX_NODES) -> bool:

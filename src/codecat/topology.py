@@ -12,7 +12,11 @@ Every state of the collapse search is downward closed, so a face is free
 exactly when just one of its one-vertex covers is a face, and free faces are
 found from those lookups alone.  A complex whose facets share a vertex is a
 cone, hence contractible, so its homology needs no boundary rank.  A link
-with one nonempty facet is a simplex, and its entry lists no face at all.
+with one nonempty facet is a simplex, and its entry lists no face at all.  A
+complex lists its faces once and keeps them, so a link's homology and its
+collapse search share one list.  A cone link collapses to its apex, and one
+with F faces where 2**F is within the cap is recorded collapsible without
+the search, which visits at most 2**F states and so could not refuse it.
 """
 
 from __future__ import annotations
@@ -60,19 +64,28 @@ class SimplicialComplex:
         return tuple(frozenset(mask_members(m)) for m in ordered)
 
     def face_masks(self, cap: int = DEFAULT_FACE_CAP) -> frozenset[int]:
-        """Every face, the empty face included (for a nonvoid complex)."""
-        faces: set[int] = set()
-        for f in self.facets:
-            sub = f
-            while True:
-                faces.add(sub)
-                if len(faces) > cap:
-                    raise ResourceCapError(
-                        f"complex has more than {cap} faces")
-                if sub == 0:
-                    break
-                sub = (sub - 1) & f
-        return frozenset(faces)
+        """Every face, the empty face included (for a nonvoid complex).
+
+        Listed on the first call that the cap lets finish and kept on the
+        complex; every call refuses when there are more than its own cap."""
+        faces = self.__dict__.get("_faces")
+        if faces is None:
+            found: set[int] = set()
+            for f in self.facets:
+                sub = f
+                while True:
+                    found.add(sub)
+                    if len(found) > cap:
+                        raise ResourceCapError(
+                            f"complex has more than {cap} faces")
+                    if sub == 0:
+                        break
+                    sub = (sub - 1) & f
+            faces = frozenset(found)
+            object.__setattr__(self, "_faces", faces)  # a cache, not a field
+        elif len(faces) > cap:
+            raise ResourceCapError(f"complex has more than {cap} faces")
+        return faces
 
     def has_face(self, sigma: Iterable[int]) -> bool:
         smask = word_mask(sigma, self.n)
@@ -278,7 +291,11 @@ def local_obstruction_report(code: Code, cap: int = DEFAULT_FACE_CAP) -> Obstruc
             coll, verdict = False, "obstruction_first_kind"
         else:
             try:
-                coll = simplex or is_collapsible(lk, cap)
+                # A cone collapses to its apex, and with 2**F <= cap the
+                # search, at most 2**F states, could not have refused.
+                coll = (simplex
+                        or (_intersect_all(lk.facets) and 1 << len(lk.face_masks(cap)) <= cap)
+                        or is_collapsible(lk, cap))
             except ResourceCapError:
                 coll = None
             verdict = {True: "no_obstruction", None: "contractibility_unknown",

@@ -408,3 +408,36 @@ def test_filtered_walks_print_what_full_censuses_and_cache_hits_print(tmp_path):
     assert filtered.count(b"\n") == 4
     assert cf_c1 == b"1: 3\n2: 1\n3: 14\n4: 23\n5: 34\n6: 45\n"
     assert c1_c0 == b"1: 5\n2: 1\n3: 26\n4: 45\n5: 56\n6: 36\n"
+
+
+def test_caps_exit_3_with_warnings_as_errors():
+    # the search-node cap on 10 hollow triangles with vertex words, which
+    # need 661 nodes, and the trunk cap on the 2^20-trunk cosingletons
+    for argv, cap in ((["iso", TRIANGLES10, TRIANGLES10, "--max-search-nodes", "100"], b"100"),
+                      (["trunks", COSINGLETONS20], b"4096")):
+        proc = codecat(*argv)
+        assert (proc.returncode, proc.stdout) == (3, b"")
+        assert proc.stderr.startswith(b"error:") and cap in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["images", DF, "--no-cache"],
+                                  ["diff-images", CF, DF, EF, "--no-cache"]],
+                         ids=["images", "diff-images"])
+def test_jobs_2_prints_what_a_serial_run_prints_with_warnings_as_errors(argv):
+    serial, jobs = codecat(*argv), codecat(*argv, "--jobs", "2")
+    assert (serial.returncode, serial.stderr) == (jobs.returncode, jobs.stderr) == (0, b"")
+    assert serial.stdout == jobs.stdout and serial.stdout
+
+
+def test_local_obs_goldens_with_warnings_as_errors():
+    hollow, c0 = codecat("local-obs", "{12,23,13}"), codecat("local-obs", C0)
+    assert (hollow.returncode, hollow.stderr) == (1, b"")
+    assert hollow.stdout == (b"locally_good: no\nlocally_great: no\n"
+                             b"0: obstruction_first_kind (H1=1)\n"
+                             b"1: obstruction_first_kind (H0=1)\n"
+                             b"2: obstruction_first_kind (H0=1)\n"
+                             b"3: obstruction_first_kind (H0=1)\n")
+    lines = c0.stdout.splitlines()
+    assert (c0.returncode, c0.stderr, len(lines)) == (0, b"", 20)
+    assert sum(line.endswith(b": no_obstruction") for line in lines) == 18

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -12,7 +13,7 @@ from codecat.reduction import _min_relabeling
 
 from helpers import (cycle_code, edge_codes, hollow_triangles, is_reduced_by_lattice,
                      min_relabeling_by_swaps, min_relabeling_full_sibling_scan,
-                     power_set_with_copy, random_codes)
+                     power_set_with_copy, random_codes, random_relabelling, tuple_word_key)
 
 
 def relabel_code(code, perm):
@@ -217,11 +218,17 @@ PAPER = ["{2345,123,134,145,13,14,23,34,45,3,4,0}",
          "{12,23,1,3,0}"]
 
 
+def in_code_order(masks) -> list[int]:
+    """masks in the order of Code.masks."""
+    return sorted(masks, key=tuple_word_key)
+
+
 def search_and_reference(masks, n):
     """(canonical masks, perm) from the search and from the swap-only
-    reference it replaced."""
+    reference it replaced, whose masks come in input word order and are
+    put in the order of Code.masks, the order the search returns."""
     got, ref = _min_relabeling(masks, n), min_relabeling_by_swaps(masks, n)
-    return (list(got[0]), got[1]), (list(ref[0]), ref[1])
+    return (list(got[0]), got[1]), (in_code_order(ref[0]), ref[1])
 
 
 def search_corpus() -> list[Code]:
@@ -303,7 +310,28 @@ def test_search_matches_full_sibling_scan_within_its_nodes(monkeypatch):
     for masks, n in inputs:
         want_masks, want_perm, nodes = min_relabeling_full_sibling_scan(masks, n)
         got_masks, got_perm = _min_relabeling(masks, n, nodes)
-        assert (list(got_masks), got_perm) == (list(want_masks), want_perm)
+        assert (list(got_masks), got_perm) == (in_code_order(want_masks), want_perm)
+
+
+def test_search_returns_words_in_code_order():
+    # the search's words come in the order of Code.masks, and the codes that
+    # canonical_form and the labelling cache build from them without a sort
+    # equal Code's own, down to the masks tuple and the word set's table
+    rng = random.Random(19)
+    for n in range(10):
+        for code in random_codes(30, 1900 + n, n=n, max_words=min(1 << n, 24)):
+            red = reduce_code(code).reduced
+            words, _ = _min_relabeling(red.mask_set, red.n)
+            want = Code(red.n, words)
+            assert type(words) is tuple and words == want.masks
+            labels = {}
+            built = [canonical_form(code).code,
+                     enumeration._canonical_of_reduced_masks(red.n, red.mask_set, labels)]
+            other = random_relabelling(rng, red)
+            built.append(enumeration._canonical_of_reduced_masks(other.n, other.mask_set, labels))
+            for got in built:
+                assert got == want and got.masks == want.masks, format_code(code, "json")
+                assert sys.getsizeof(got.mask_set) == sys.getsizeof(want.mask_set)
 
 
 @pytest.mark.parametrize("code, nodes", [(hollow_triangles(7, False), 253),

@@ -364,3 +364,70 @@ def test_cone_shortcut_keeps_the_face_cap(capsys):
     out = capsys.readouterr()
     assert rc == 3 and out.out == ""
     assert out.err.startswith("error:") and len(out.err.splitlines()) == 1
+
+
+def test_faces_are_listed_once_and_every_call_keeps_its_cap():
+    k = complex_from([[1, 2, 3], [2, 3, 4]], 4)  # 12 faces
+    with pytest.raises(ResourceCapError):
+        k.face_masks(cap=11)  # refused before the list is complete
+    faces = k.face_masks()
+    assert len(faces) == 12 and k.face_masks(cap=12) is faces
+    with pytest.raises(ResourceCapError, match="more than 11 faces"):
+        k.face_masks(cap=11)
+    assert f2_reduced_homology(k) == {-1: 0, 0: 0, 1: 0, 2: 0} and is_collapsible(k)
+    assert k.face_masks() is faces
+    with pytest.raises(ResourceCapError):
+        f2_reduced_homology(k, cap=11)
+    with pytest.raises(ResourceCapError):
+        is_collapsible(k, cap=11)
+    # the list is a cache, not part of the complex's value
+    assert k == complex_from([[1, 2, 3], [2, 3, 4]], 4) and "_faces" not in repr(k)
+
+
+def searched_links(monkeypatch, code, cap):
+    """The report of code under cap, and the facets of every link it sent
+    to topology.is_collapsible."""
+    searched = []
+    real = topology.is_collapsible
+
+    def recording(lk, cap=topology.DEFAULT_FACE_CAP):
+        searched.append(lk.facets)
+        return real(lk, cap)
+
+    with monkeypatch.context() as m:
+        m.setattr(topology, "is_collapsible", recording)
+        return local_obstruction_report(code, cap), searched
+
+
+def test_small_cone_links_skip_the_search(monkeypatch):
+    # {123,234}: the link of {2} is the path 1-3-4, a cone on 3 with 6
+    # faces, so a cap of 2**6 skips its search and 2**6 - 1 runs it; the
+    # link of {} is the whole complex, a cone with 12 faces, searched both
+    # times
+    code = Code(4, [0b0111, 0b1110])
+    path = frozenset({0b0101, 0b1100})
+    skipped, searched_small = searched_links(monkeypatch, code, 64)
+    ran, searched_tight = searched_links(monkeypatch, code, 63)
+    assert path not in searched_small and path in searched_tight
+    assert frozenset({0b0111, 0b1110}) in searched_small
+    assert skipped.entries == ran.entries
+    assert skipped == ran == obstruction_report_by_references(code)
+    entry = next(e for e in ran.entries if e.sigma == {2})
+    assert (entry.collapsible, entry.verdict) == (True, "no_obstruction")
+
+
+def test_cone_shortcut_matches_the_search_on_seeded_codes(monkeypatch):
+    # every report equals the reference, which searches every link; count
+    # the cone links the shortcut answered, so the check is not vacuous
+    rng = random.Random(1719)
+    skipped = 0
+    for _ in range(120):
+        n = rng.randint(1, 8)
+        code = Code(n, rng.sample(range(1 << n), rng.randint(1, min(14, 1 << n))))
+        report, searched = searched_links(monkeypatch, code, topology.DEFAULT_FACE_CAP)
+        assert report == obstruction_report_by_references(code)
+        k = simplicial_complex(code)
+        cones = [e for e in report.entries if e.collapsible and len(e.link_facets) > 1
+                 and link(k, e.sigma).facets not in searched]
+        skipped += len(cones)
+    assert skipped > 100
