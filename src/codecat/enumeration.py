@@ -98,8 +98,11 @@ class ImageSet:
 
 
 def _code_key(code: Code) -> tuple:
-    words = tuple((m.bit_count(), m) for m in code.masks)
-    return (len(words), words, code.n)
+    # The census order: word count, then each word by (popcount, mask), then
+    # n.  Every mask is below 2**MAX_NEURONS, so one integer per word,
+    # popcount << MAX_NEURONS | mask, sorts exactly like that pair.
+    masks = code.masks
+    return (len(masks), tuple([m.bit_count() << MAX_NEURONS | m for m in masks]), code.n)
 
 
 def _index_pool(code: Code, max_trunks: int):

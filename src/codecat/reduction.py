@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Collection
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .codes import Code, mask_members
 from .exceptions import ResourceCapError
@@ -94,6 +95,29 @@ def minimum_neuron_number(code: Code) -> int:
 # Search nodes one lex-min labelling may visit before it is refused.
 DEFAULT_MAX_NODES = 100_000
 
+# _BIT_REVERSED[b] is the byte b with its eight bits in reverse order.
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _bit_reversals(values: list[int], n: int) -> tuple[int, ...]:
+    """The n-bit reversal of each value in 0..2**n - 1, as a tuple: bit i of
+    a value is bit n-1-i of its reversal.  Up to 8 bits a value is one
+    lookup in _BIT_REVERSED and a shift; wider values reverse each of their
+    bytes through it, and the byte order by reading the little-endian bytes
+    as big-endian."""
+    if n <= 8:
+        shift = 8 - n
+        return tuple([_BIT_REVERSED[v] >> shift for v in values])
+    width = (n + 7) >> 3
+    shift = 8 * width - n
+    return tuple([int.from_bytes(v.to_bytes(width, "little").translate(_BIT_REVERSED), "big")
+                  >> shift for v in values])
+
+
+def _refuse(max_nodes: int) -> NoReturn:
+    raise ResourceCapError(f"canonical labelling search exceeded its cap of {max_nodes} "
+                           "nodes; raise max_nodes to search anyway")
+
 
 @dataclass(frozen=True)
 class CanonicalForm:
@@ -124,9 +148,17 @@ def _min_relabeling(masks: Collection[int], n: int,
     it: every key of a sibling holds the same labels except the one just
     given, so two siblings' partial keys differ only at or above that bit,
     while the bound clears bits below it alone.  The bound is thus monotone
-    in sibling order, and every later sibling loses too.  The best leaf's
-    sorted keys give the canonical words in canonical order: a word's mask
-    is the n-bit reversal of its rank, full & ~key.
+    in sibling order, and every later sibling loses too.
+
+    The last label is given in place, without a call of its own: one neuron
+    is left, and its leaf is the only child.  Orbits and twins have nothing
+    to cut among one candidate, and the bound has been applied already:
+    with one neuron left, no two words holding it have the same partial key,
+    so the bound that admitted the node is its leaf's sorted key list, and
+    the leaf is visited, and counted as a node, whenever the node is.  The
+    best leaf's sorted keys give the canonical words in canonical order: a
+    word's mask is the n-bit reversal of its rank, full & ~key, read
+    through the byte table of _bit_reversals.
 
     Symmetric siblings are cut as in individualise-and-refine search.  A leaf
     that ties the incumbent, or a swap of two sibling neurons that fixes the
@@ -210,21 +242,32 @@ def _min_relabeling(masks: Collection[int], n: int,
         nonlocal best_key, best_perm, left
         if left is not None:
             if not left:
-                raise ResourceCapError(
-                    f"canonical labelling search exceeded its cap of {max_nodes} "
-                    "nodes; raise max_nodes to search anyway")
+                _refuse(max_nodes)
             left -= 1
-        if q == n:
+        if q == n - 1:
+            # The last label: one neuron is left, and its leaf, the only
+            # child, is visited here (see the docstring).
+            o = label.index(0)
+            sig = keys[:]
+            for w in holders[o]:
+                sig[w] ^= 1
+            sig.sort()
+            if left is not None:
+                if not left:
+                    _refuse(max_nodes)
+                left -= 1
+            label[o] = n
             if best_key is None or sig < best_key:
                 best_key, best_perm = sig, tuple(label)
             elif sig == best_key:
                 # best_perm^-1 . label maps the code onto itself.
                 old = [0] * n
-                for o, new in enumerate(best_perm):
-                    old[new - 1] = o
-                pairs = [(o, old[label[o] - 1]) for o in range(n)
-                         if old[label[o] - 1] != o]
-                autos.append((sum(1 << o for o, _ in pairs), pairs))
+                for p, new in enumerate(best_perm):
+                    old[new - 1] = p
+                pairs = [(p, old[label[p] - 1]) for p in range(n)
+                         if old[label[p] - 1] != p]
+                autos.append((sum(1 << p for p, _ in pairs), pairs))
+            label[o] = 0
             return
         bit = 1 << (n - q - 1)  # label q+1
         found = len(autos)
@@ -267,8 +310,13 @@ def _min_relabeling(masks: Collection[int], n: int,
                 keys[w] ^= bit
             label[o] = 0
 
-    rec(0, sorted(keys), 0)
-    return tuple([int(f"{full & ~k:0{n}b}"[::-1], 2) for k in best_key]), best_perm
+    if n:
+        rec(0, sorted(keys), 0)
+    else:  # the root is the only leaf
+        if max_nodes == 0:
+            _refuse(max_nodes)
+        best_key = sorted(keys)
+    return _bit_reversals([full & ~k for k in best_key], n), best_perm
 
 
 def canonical_form(code: Code, max_nodes: int | None = DEFAULT_MAX_NODES) -> CanonicalForm:

@@ -477,6 +477,14 @@ def tuple_word_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (len(members), members)
 
 
+def code_key_by_pairs(code: Code) -> tuple:
+    """The census order with each word as a (popcount, mask) pair.
+    Reference for enumeration._code_key, which packs each pair into one
+    integer."""
+    words = tuple((m.bit_count(), m) for m in code.masks)
+    return (len(words), words, code.n)
+
+
 def mask_by_full_checks(word: list, n: int | None) -> int:
     """The bitmask of a list of neuron indices, every index checked in full
     as codes.word_mask did before its plain-int fast test.  Reference for

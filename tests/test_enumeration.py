@@ -17,10 +17,10 @@ from codecat import (Code, ResourceCapError, all_trunks, canonical_form,
                      image_set_to_obj, is_isomorphic, is_reduced, parse_code,
                      reduce_code, verify_image_membership)
 
-from helpers import (cycle_code, difference_by_censuses, edge_codes, hollow_triangles,
-                     image_signature, induced_image_words, membership_by_full_walk,
-                     min_relabeling_by_swaps, random_codes, random_relabelling,
-                     stays_irredundant_by_pairs)
+from helpers import (code_key_by_pairs, cycle_code, difference_by_censuses, edge_codes,
+                     hollow_triangles, image_signature, induced_image_words,
+                     membership_by_full_walk, min_relabeling_by_swaps, random_codes,
+                     random_relabelling, stays_irredundant_by_pairs)
 
 C5 = parse_code("{12,23,1,3,0}")
 D5 = parse_code("{12,34,1,3,0}")
@@ -534,6 +534,23 @@ def test_membership_matches_full_walk_on_paper_codes():
             assert got.trunks == ref.trunks
             hits += 1
     assert hits == 11
+
+
+def test_code_key_sorts_like_word_pairs():
+    # one integer per word orders codes exactly as (popcount, mask) pairs
+    # do: on the paper's censuses, on seeded ones, and on seeded codes whose
+    # masks reach bit MAX_NEURONS - 1
+    rng = random.Random(20)
+    lists = [memo_census(code) for code in PAPER_CODES.values()]
+    lists += [enumerate_reduced_images(code).images
+              for code in random_codes(8, 2000, n=5, max_words=8)]
+    lists.append([Code(n, [rng.getrandbits(n) for _ in range(rng.randint(1, 4))])
+                  for n in (9, 33, 64) for _ in range(60)])
+    for codes in lists:
+        shuffled = list(codes)
+        rng.shuffle(shuffled)
+        assert (sorted(shuffled, key=enumeration._code_key)
+                == sorted(shuffled, key=code_key_by_pairs))
 
 
 def test_filtered_paths_match_references_on_random_codes():

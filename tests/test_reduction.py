@@ -9,7 +9,8 @@ from codecat import (Code, ResourceCapError, canonical_form, enumeration, format
                      is_isomorphic, is_reduced,
                      minimum_neuron_number, parse_code, permutation_morphism,
                      redundant_neurons, reduce_code, trivial_neurons)
-from codecat.reduction import _min_relabeling
+from codecat.codes import MAX_NEURONS
+from codecat.reduction import _bit_reversals, _min_relabeling
 
 from helpers import (cycle_code, edge_codes, hollow_triangles, is_reduced_by_lattice,
                      min_relabeling_by_swaps, min_relabeling_full_sibling_scan,
@@ -297,20 +298,54 @@ def test_search_matches_reference_on_every_difference_labelling(monkeypatch):
     assert (len(answers), len(searches)) == (1540, 902)
 
 
+def full_sibling_scan_inputs(monkeypatch) -> list:
+    """(masks, n) of the reference corpus in both word orders and of every
+    labelling request of the paper's censuses."""
+    inputs = []
+    for code in search_corpus():
+        red = reduce_code(code).reduced
+        inputs += [(red.masks, red.n), (red.mask_set, red.n)]
+    return inputs + [(masks, m) for m, masks in difference_labelling_requests(monkeypatch)[0]]
+
+
 def test_search_matches_full_sibling_scan_within_its_nodes(monkeypatch):
     # stopping at the first sibling the bound cuts and reading the words
     # off the best leaf change neither the result nor, within the frozen
     # search's node count, the work: on the reference corpus in both word
     # orders and on every labelling request of the paper's censuses
-    inputs = []
-    for code in search_corpus():
-        red = reduce_code(code).reduced
-        inputs += [(red.masks, red.n), (red.mask_set, red.n)]
-    inputs += [(masks, m) for m, masks in difference_labelling_requests(monkeypatch)[0]]
-    for masks, n in inputs:
+    for masks, n in full_sibling_scan_inputs(monkeypatch):
         want_masks, want_perm, nodes = min_relabeling_full_sibling_scan(masks, n)
         got_masks, got_perm = _min_relabeling(masks, n, nodes)
         assert (list(got_masks), got_perm) == (in_code_order(want_masks), want_perm)
+
+
+def test_search_visits_exactly_the_full_sibling_scans_nodes(monkeypatch):
+    # giving the last label in place counts a leaf exactly when the frozen
+    # search visits it: one node fewer than its count is refused
+    for masks, n in full_sibling_scan_inputs(monkeypatch):
+        nodes = min_relabeling_full_sibling_scan(masks, n)[2]
+        _min_relabeling(masks, n, nodes)
+        with pytest.raises(ResourceCapError):
+            _min_relabeling(masks, n, nodes - 1)
+
+
+def test_bit_reversals_match_string_reversal():
+    rng = random.Random(20)
+    for n in range(MAX_NEURONS + 1):
+        values = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(30)]
+        assert _bit_reversals(values, n) == tuple(int(f"{v:0{n}b}"[::-1], 2) for v in values)
+
+
+@pytest.mark.parametrize("code", [cycle_code(k) for k in (20, 33, 48, 64)]
+                         + [Code(n, [0] + [1 << i for i in range(n)]) for n in (16, 40, 64)],
+                         ids=lambda code: f"n={code.n},{len(code.masks)} words")
+def test_search_reads_wide_words(code):
+    # words of more than one byte: the search's words are the code
+    # relabelled by its perm, in the order of Code.masks
+    words, perm = _min_relabeling(code.mask_set, code.n)
+    assert words == Code(code.n, words).masks
+    assert set(words) == {sum(1 << (perm[o] - 1) for o in range(code.n) if m >> o & 1)
+                          for m in code.masks}
 
 
 def test_search_returns_words_in_code_order():
