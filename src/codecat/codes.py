@@ -59,15 +59,28 @@ def _limit(n: int | None) -> str:
 
 
 def mask_members(mask: int) -> tuple[int, ...]:
-    """Sorted 1-based neuron indices of a codeword bitmask."""
-    out = []
-    i = 1
+    """Sorted 1-based neuron indices of a codeword bitmask.
+
+    A mask below 256 is one lookup in _BYTE_MEMBERS; a wider one is read a
+    byte at a time through it.  A negative mask raises ValueError."""
+    if not mask >> 8:
+        return _BYTE_MEMBERS[mask]
+    if mask < 0:
+        raise ValueError(f"codeword mask must be >= 0, got {mask}")
+    out = _BYTE_MEMBERS[mask & 255]
+    base = 8
+    mask >>= 8
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+        byte = mask & 255
+        if byte:
+            out += tuple([base + i for i in _BYTE_MEMBERS[byte]])
+        mask >>= 8
+        base += 8
+    return out
+
+
+# The members of each byte value, as mask_members gives them.
+_BYTE_MEMBERS = tuple(tuple(i + 1 for i in range(8) if b >> i & 1) for b in range(256))
 
 
 def _word_key(mask: int) -> tuple[int, tuple[int, ...]]:

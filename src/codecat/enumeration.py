@@ -66,6 +66,7 @@ from pathlib import Path
 
 from .codes import (MAX_NEURONS, Code, _json_list, code_to_obj, format_code, parse_code,
                     read_json)
+from .exceptions import _check_cap
 from .morphisms import Morphism
 from .reduction import CanonicalForm, _min_relabeling, canonical_form
 from .trunks import Trunk, _index_members, _trunk_family_masksets
@@ -276,6 +277,7 @@ def enumerate_reduced_images(code: Code, *, jobs: int = 1,
     censuses, and _source is canonical_form(code) when the caller already
     holds it.
     """
+    _check_cap(max_trunks, "max_trunks")
     t0 = time.monotonic()
     words, pool = _index_pool(code, max_trunks)
     labels = {} if _labels is None else _labels
@@ -295,6 +297,7 @@ def verify_image_membership(source: Code, target: Code,
     exists; None otherwise.  This is _cover with the reduced target alone
     left uncovered: the witness is the first node that covers it, in the
     fixed enumeration order."""
+    _check_cap(max_trunks, "max_trunks")
     target = canonical_form(target).code
     words = source.masks
     for chosen in _cover(source, {_filter_key(target.n, target.mask_set): {target}}, {},
@@ -361,6 +364,7 @@ def image_set_difference(target: Code, baselines: list[Code], *, jobs: int = 1,
     With cache_dir every census is full, because a miss writes a whole
     entry, and the call's lookups share one _entries dict, so each entry is
     read at most once however often the call names its class."""
+    _check_cap(max_trunks, "max_trunks")
     labels: dict = {}
     kw = {"max_trunks": max_trunks, "_labels": labels}
     if cache_dir is not None:
@@ -474,6 +478,7 @@ def cached_enumerate(code: Code, cache_dir: Path | str, *, jobs: int = 1,
     canonical sources to the censuses already read or computed, for callers
     that look up several codes: a code whose class _entries holds gets that
     census with its own source witness, and nothing is read."""
+    _check_cap(max_trunks, "max_trunks")
     source = canonical_form(code)
     if _entries is not None and source.code in _entries:
         known = _entries[source.code]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import NoReturn
 
 from .codes import Code, mask_members
-from .exceptions import ResourceCapError
+from .exceptions import ResourceCapError, _check_cap
 from .morphisms import Morphism
 from .trunks import Trunk, irreducible_trunks, simple_trunks, trunk_of
 
@@ -322,7 +322,11 @@ def _min_relabeling(masks: Collection[int], n: int,
 def canonical_form(code: Code, max_nodes: int | None = DEFAULT_MAX_NODES) -> CanonicalForm:
     """Reduce, then permutation-minimize under the fixed total order.
     Refuses with ResourceCapError once the search for the least relabeling
-    would visit more than max_nodes nodes; None removes the cap."""
+    would visit more than max_nodes nodes, and at once for a negative
+    max_nodes; None removes the cap."""
+    _check_cap(max_nodes, "max_nodes")
+    if max_nodes is not None and max_nodes < 0:
+        _refuse(max_nodes)
     # reduce_code(code).reduced, without the Morphism and origins it also
     # builds: a reduced code is its own reduction.
     red = code if is_reduced(code) else Morphism(code, tuple(irreducible_trunks(code))).image()

@@ -10,22 +10,30 @@ open.  A code whose missing-face links are all collapsible is locally great.
 
 Every state of the collapse search is downward closed, so a face is free
 exactly when just one of its one-vertex covers is a face, and free faces are
-found from those lookups alone.  A complex whose facets share a vertex is a
-cone, hence contractible, so its homology needs no boundary rank.  A link
-with one nonempty facet is a simplex, and its entry lists no face at all.  A
-complex lists its faces once and keeps them, so a link's homology and its
-collapse search share one list.  A cone link collapses to its apex, and one
-with F faces where 2**F is within the cap is recorded collapsible without
-the search, which visits at most 2**F states and so could not refuse it.
+found from those lookups alone.  Only the first state lists them all: a
+collapse changes the covers of the codimension-1 faces of the removed pair
+alone, so each later state rechecks just those faces against its parent's
+sorted list.  The list is the one a full listing gives, and it is built
+after the state's memo lookup and budget charge, so the search visits the
+same states in the same order and refuses at the same point.
+
+A complex whose facets share a vertex is a cone, hence contractible, so its
+homology needs no boundary rank.  A link with one nonempty facet is a
+simplex, and its entry lists no face at all.  A complex lists its faces once
+and keeps them, so a link's homology and its collapse search share one list.
+A cone link collapses to its apex, and one with F faces where 2**F is within
+the cap is recorded collapsible without the search, which visits at most
+2**F states and so could not refuse it.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .codes import Code, _display_key, _word_key, mask_members, word_mask
-from .exceptions import ResourceCapError
+from .exceptions import ResourceCapError, _check_cap
 from .trunks import _intersect_all
 
 DEFAULT_FACE_CAP = 1 << 20
@@ -63,11 +71,14 @@ class SimplicialComplex:
         ordered = sorted(self.facets, key=_display_key)
         return tuple(frozenset(mask_members(m)) for m in ordered)
 
-    def face_masks(self, cap: int = DEFAULT_FACE_CAP) -> frozenset[int]:
+    def face_masks(self, cap: int | None = DEFAULT_FACE_CAP) -> frozenset[int]:
         """Every face, the empty face included (for a nonvoid complex).
 
         Listed on the first call that the cap lets finish and kept on the
-        complex; every call refuses when there are more than its own cap."""
+        complex; every call refuses when there are more than its own cap.
+        None removes the cap."""
+        _check_cap(cap, "face cap")
+        limit = float("inf") if cap is None else cap
         faces = self.__dict__.get("_faces")
         if faces is None:
             found: set[int] = set()
@@ -75,7 +86,7 @@ class SimplicialComplex:
                 sub = f
                 while True:
                     found.add(sub)
-                    if len(found) > cap:
+                    if len(found) > limit:
                         raise ResourceCapError(
                             f"complex has more than {cap} faces")
                     if sub == 0:
@@ -83,7 +94,7 @@ class SimplicialComplex:
                     sub = (sub - 1) & f
             faces = frozenset(found)
             object.__setattr__(self, "_faces", faces)  # a cache, not a field
-        elif len(faces) > cap:
+        elif len(faces) > limit:
             raise ResourceCapError(f"complex has more than {cap} faces")
         return faces
 
@@ -141,56 +152,101 @@ def _free_pairs(faces: frozenset[int]) -> list[tuple[int, int]]:
         union |= f
     out = []
     for tau in faces:
-        if tau == 0:
-            continue
-        top = 0
-        rest = union & ~tau
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            if tau | b in faces:
-                if top:
-                    break  # a second cover: tau is not free
-                top = tau | b
-        else:
+        if tau:
+            top = _only_cover(tau, faces, union)
             if top:
                 out.append((tau, top))
     out.sort(key=lambda p: _word_key(p[0]))
     return out
 
 
+def _only_cover(tau: int, faces: frozenset[int], union: int) -> int:
+    """tau | b if that is the only one-vertex cover of tau among faces, b a
+    bit of union; else 0."""
+    top = 0
+    rest = union & ~tau
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        if tau | b in faces:
+            if top:
+                return 0  # a second cover: tau is not free
+            top = tau | b
+    return top
+
+
 def _collapses_to_point(faces: frozenset[int], memo: dict[frozenset[int], bool],
                         budget: list[int]) -> bool:
-    hit = memo.get(faces)
-    if hit is not None:
-        return hit
-    budget[0] -= 1
-    if budget[0] < 0:
-        raise ResourceCapError("collapsibility search exceeded its state "
-                               "budget; raise the face cap to keep going")
-    if _is_simplex(faces):
-        result = True  # any simplex collapses to a vertex
-    else:
+    """Can the downward-closed faces collapse to a single vertex?
+
+    Depth-first over the free pairs of each state in _free_pairs order,
+    memoized on the face set; every state not in the memo costs one unit of
+    budget[0], and ResourceCapError is raised once it runs out.  Only the
+    root lists its free pairs with _free_pairs.  A child's list is its
+    parent's, updated: removing the pair (tau, F) takes a one-vertex cover
+    only from the codimension-1 faces of tau and of F, so only those can
+    change their free status.  None of them was free with a top other than
+    F (tau would be a second cover of the others), and F, a facet, is the
+    top of no pair but theirs; so the child keeps every pair whose top is
+    not F, rechecks just those faces and inserts each that is now free in
+    _word_key order.  The order is total on faces, so the list is exactly
+    the one _free_pairs would list.  It is built only after the child's
+    memo lookup and budget decrement, so the states visited, their order,
+    the memo and the refusal point are those of a search that lists every
+    state's pairs from scratch.
+    """
+    union = 0
+    for f in faces:
+        union |= f
+
+    def search(faces: frozenset[int], pairs: list | None, tau: int, top: int) -> bool:
+        # pairs: the parent's free pairs as (_word_key(tau), tau, F), or
+        # None at the root; (tau, top) is the pair the parent removed.
+        hit = memo.get(faces)
+        if hit is not None:
+            return hit
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise ResourceCapError("collapsibility search exceeded its state "
+                                   "budget; raise the face cap to keep going")
+        if _is_simplex(faces):
+            memo[faces] = True  # any simplex collapses to a vertex
+            return True
+        if pairs is None:
+            pairs = [(_word_key(t), t, f) for t, f in _free_pairs(faces)]
+        else:
+            pairs = [p for p in pairs if p[2] != top]
+            rest = tau
+            while rest:
+                v = rest & -rest
+                rest ^= v
+                for sigma in (tau ^ v, top ^ v):
+                    cover = sigma and _only_cover(sigma, faces, union)
+                    if cover:
+                        insort(pairs, (_word_key(sigma), sigma, cover))
         result = False
-        for tau, top in _free_pairs(faces):
-            if _collapses_to_point(faces - {tau, top}, memo, budget):
+        for _, t, f in pairs:
+            if search(faces - {t, f}, pairs, t, f):
                 result = True
                 break
-    memo[faces] = result
-    return result
+        memo[faces] = result
+        return result
+
+    return search(faces, None, 0, 0)
 
 
-def is_collapsible(k: SimplicialComplex, cap: int = DEFAULT_FACE_CAP) -> bool:
+def is_collapsible(k: SimplicialComplex, cap: int | None = DEFAULT_FACE_CAP) -> bool:
     """Can free-face removals shrink the complex to a single vertex?
 
     Exhaustive backtracking over collapse orders (greedy collapsing can dead
     end), memoized on the intermediate face sets.  The cap bounds both the
-    face count and the number of search states visited.
+    face count and the number of search states visited; None removes it.
     """
+    _check_cap(cap, "face cap")
     if not k.facets:
         return False
     faces = k.face_masks(cap)
-    return _collapses_to_point(faces, {}, [cap])
+    return _collapses_to_point(faces, {}, [float("inf") if cap is None else cap])
 
 
 def _gf2_rank(rows: list[int]) -> int:
@@ -208,7 +264,8 @@ def _gf2_rank(rows: list[int]) -> int:
     return rank
 
 
-def f2_reduced_homology(k: SimplicialComplex, cap: int = DEFAULT_FACE_CAP) -> dict[int, int]:
+def f2_reduced_homology(k: SimplicialComplex,
+                        cap: int | None = DEFAULT_FACE_CAP) -> dict[int, int]:
     """Reduced Betti numbers over GF(2), by boundary-matrix ranks.
 
     Keys run from dimension -1 (the augmentation; rank 1 exactly for the
@@ -217,8 +274,10 @@ def f2_reduced_homology(k: SimplicialComplex, cap: int = DEFAULT_FACE_CAP) -> di
     which is contractible, so every reduced Betti number is 0 and no rank is
     taken; the faces are still listed first, so the face cap holds for
     cones too.  A rank does not depend on row or column order, so the faces
-    of each dimension are indexed in the order they come.
+    of each dimension are indexed in the order they come.  The face cap
+    bounds the face count; None removes it.
     """
+    _check_cap(cap, "face cap")
     if not k.facets:
         return {}
     faces = k.face_masks(cap)
@@ -266,13 +325,16 @@ class ObstructionReport:
     locally_great: bool | None
 
 
-def local_obstruction_report(code: Code, cap: int = DEFAULT_FACE_CAP) -> ObstructionReport:
+def local_obstruction_report(code: Code,
+                             cap: int | None = DEFAULT_FACE_CAP) -> ObstructionReport:
     """Classify the link of every missing face of the code's complex.
 
     The empty face counts as missing when the empty word is absent.  A code
     equal to its own complex has no missing faces and is trivially locally
-    great.
+    great.  The face cap bounds each face list and each collapse search;
+    None removes it.
     """
+    _check_cap(cap, "face cap")
     k = simplicial_complex(code)
     missing = sorted(k.face_masks(cap) - code.mask_set, key=_word_key)
     entries = []
@@ -294,7 +356,8 @@ def local_obstruction_report(code: Code, cap: int = DEFAULT_FACE_CAP) -> Obstruc
                 # A cone collapses to its apex, and with 2**F <= cap the
                 # search, at most 2**F states, could not have refused.
                 coll = (simplex
-                        or (_intersect_all(lk.facets) and 1 << len(lk.face_masks(cap)) <= cap)
+                        or (_intersect_all(lk.facets)
+                            and (cap is None or 1 << len(lk.face_masks(cap)) <= cap))
                         or is_collapsible(lk, cap))
             except ResourceCapError:
                 coll = None

@@ -17,7 +17,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .codes import Code, _display_key, _word_key, mask_members, word_mask
-from .exceptions import ResourceCapError
+from .exceptions import ResourceCapError, _check_cap
 
 
 @dataclass(frozen=True)
@@ -174,6 +174,7 @@ def all_trunks(code: Code, max_trunks: int | None = None) -> list[Trunk]:
     code.masks is in word order, so a trunk's ascending word indices sort
     like its sorted member words.
     """
+    _check_cap(max_trunks, "max_trunks")
     words = code.masks
     indexed = [(_bit_indices(t), g)
                for g, t in _trunk_family_masksets(code, max_trunks).items()]

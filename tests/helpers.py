@@ -4,7 +4,6 @@ failures replay exactly."""
 import itertools
 import random
 from collections.abc import Collection
-from unittest import mock
 
 from codecat import Code, Morphism, ResourceCapError, Trunk, canonical_form, topology
 from codecat.codes import MAX_NEURONS, _word_key, mask_members
@@ -469,6 +468,20 @@ def min_relabeling_full_sibling_scan(masks: Collection[int], n: int,
     return canon, best_perm, nodes
 
 
+def mask_members_by_bits(mask: int) -> tuple[int, ...]:
+    """Sorted 1-based neuron indices of a mask, one bit at a time.
+    Reference for codes.mask_members, which reads them through a byte
+    table."""
+    out = []
+    i = 1
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return tuple(out)
+
+
 def tuple_word_key(mask: int) -> tuple[int, tuple[int, ...]]:
     """The package's word order spelled out: size, then the sorted 1-based
     members compared lexicographically.  Reference for the order of
@@ -527,6 +540,41 @@ def free_pairs_by_scan(faces: frozenset[int]) -> list[tuple[int, int]]:
     return out
 
 
+def collapses_by_scan(faces: frozenset[int], memo: dict[frozenset[int], bool],
+                      budget: list[int]) -> bool:
+    """Can the downward-closed faces collapse to a single vertex?  The
+    collapse search with every state's free pairs listed from scratch by
+    free_pairs_by_scan and every simplex found from its facets, with the
+    library's memo and state budget: a state not in the memo costs one unit
+    of budget[0], and ResourceCapError is raised once it runs out.
+    Reference for topology._collapses_to_point, which derives each child's
+    free pairs from its parent's and must visit the same states in the same
+    order."""
+    hit = memo.get(faces)
+    if hit is not None:
+        return hit
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise ResourceCapError("reference collapse search exceeded its budget")
+    facets = [f for f in faces if not any(g != f and g & f == f for g in faces)]
+    if len(facets) == 1 and facets[0]:
+        result = True
+    else:
+        result = any(collapses_by_scan(faces - {t, f}, memo, budget)
+                     for t, f in free_pairs_by_scan(faces))
+    memo[faces] = result
+    return result
+
+
+def is_collapsible_by_scan(k: topology.SimplicialComplex) -> bool:
+    """topology.is_collapsible under the default face cap, through
+    collapses_by_scan."""
+    cap = topology.DEFAULT_FACE_CAP
+    if not k.facets:
+        return False
+    return collapses_by_scan(k.face_masks(cap), {}, [cap])
+
+
 def reduced_homology_by_ranks(k: topology.SimplicialComplex,
                               cap: int = topology.DEFAULT_FACE_CAP) -> dict[int, int]:
     """Reduced GF(2) Betti numbers from the ranks of boundary matrices whose
@@ -558,7 +606,7 @@ def reduced_homology_by_ranks(k: topology.SimplicialComplex,
 def obstruction_report_by_references(code: Code) -> topology.ObstructionReport:
     """local_obstruction_report spelled out without its shortcuts: every
     link, a simplex too, goes through reduced_homology_by_ranks and, when
-    acyclic, a collapse search over free_pairs_by_scan."""
+    acyclic, is_collapsible_by_scan."""
     k = topology.simplicial_complex(code)
     entries = []
     for smask in sorted(k.face_masks() - code.mask_set, key=_word_key):
@@ -568,8 +616,7 @@ def obstruction_report_by_references(code: Code) -> topology.ObstructionReport:
             coll, verdict = False, "obstruction_first_kind"
         else:
             try:
-                with mock.patch.object(topology, "_free_pairs", free_pairs_by_scan):
-                    coll = topology.is_collapsible(lk)
+                coll = is_collapsible_by_scan(lk)
             except ResourceCapError:
                 coll = None
             verdict = {True: "no_obstruction", None: "contractibility_unknown",

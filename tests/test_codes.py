@@ -9,7 +9,7 @@ from codecat import (Code, MAX_NEURONS, Morphism, canonical_form, code_to_obj,
                      parse_code, reduce_code, trunk_of)
 from codecat.codes import mask_members, word_mask
 
-from helpers import random_codes, tuple_word_key
+from helpers import mask_members_by_bits, random_codes, tuple_word_key
 
 
 def test_word_mask_roundtrip():
@@ -17,6 +17,26 @@ def test_word_mask_roundtrip():
     assert word_mask([], 5) == 0
     assert mask_members(0b101) == (1, 3)
     assert mask_members(0) == ()
+
+
+def test_mask_members_match_the_bit_loop():
+    # below 256 a table lookup, above it byte by byte; the complexes of
+    # topology take masks wider than 64 bits
+    for mask in range(1 << 16):
+        assert mask_members(mask) == mask_members_by_bits(mask)
+    rng = random.Random(4021)
+    for _ in range(3000):
+        mask = rng.getrandbits(rng.randint(9, 200))
+        assert mask_members(mask) == mask_members_by_bits(mask)
+    for width in (8, 9, 16, 17, 64, 65, 200):
+        assert mask_members(1 << (width - 1)) == (width,)
+        assert mask_members((1 << width) - 1) == tuple(range(1, width + 1))
+
+
+@pytest.mark.parametrize("mask", [-1, -2, -256, -257, -(1 << 70)])
+def test_mask_members_rejects_a_negative_mask(mask):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        mask_members(mask)
 
 
 def test_word_mask_rejects_out_of_range():

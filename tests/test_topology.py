@@ -11,7 +11,7 @@ from codecat.codes import word_mask
 from codecat.topology import (SimplicialComplex, f2_reduced_homology,
                               is_collapsible, link)
 
-from helpers import (free_pairs_by_scan, obstruction_report_by_references,
+from helpers import (collapses_by_scan, free_pairs_by_scan, obstruction_report_by_references,
                      random_codes, reduced_homology_by_ranks)
 
 
@@ -285,30 +285,56 @@ def seeded_complexes():
     return out
 
 
-def search_memo(faces, free_pairs, budget=300):
-    """The memo of a collapse search run with free_pairs, in insertion order;
-    a search that runs out of its state budget leaves the states it finished."""
+def search_memo(faces, search, budget=300):
+    """The result of a collapse search, None if it ran out of its state
+    budget, and its memo in insertion order; a search that runs out leaves
+    the states it finished."""
     memo = {}
-    with mock.patch.object(topology, "_free_pairs", free_pairs):
-        try:
-            topology._collapses_to_point(faces, memo, [budget])
-        except ResourceCapError:
-            pass
-    return list(memo.items())
+    try:
+        result = search(faces, memo, [budget])
+    except ResourceCapError:
+        result = None
+    return result, list(memo.items())
+
+
+def searched_complexes():
+    dh = dunce_hat()
+    return seeded_complexes() + [SPHERE2, RP2, dh, cone(dh), BACKTRACKING]
 
 
 def test_free_pairs_match_the_scan_on_every_search_state():
-    dh = dunce_hat()
-    ks = seeded_complexes() + [SPHERE2, RP2, dh, cone(dh), BACKTRACKING]
     states = 0
-    for k in ks:
-        faces = k.face_masks()
-        memo = search_memo(faces, topology._free_pairs)
-        assert memo == search_memo(faces, free_pairs_by_scan)
+    for k in searched_complexes():
+        _, memo = search_memo(k.face_masks(), collapses_by_scan)
         for state, _ in memo:
             assert topology._free_pairs(state) == free_pairs_by_scan(state)
         states += len(memo)
     assert states > 1000
+
+
+def test_collapse_search_visits_the_states_of_the_scan_search():
+    # The library lists only the root's free pairs and updates them for
+    # each child; the reference lists every state's from scratch.  Same
+    # states in the same order, so equal memos and results at every budget,
+    # and a search that finishes in s states refuses at s - 1 on both.
+    states = finished = refused = 0
+    for k in searched_complexes():
+        faces = k.face_masks()
+        for budget in (3, 10, 300):
+            got = search_memo(faces, topology._collapses_to_point, budget)
+            assert got == search_memo(faces, collapses_by_scan, budget)
+        result, memo = got
+        states += len(memo)
+        if result is None:
+            refused += 1
+            continue
+        finished += 1
+        s = len(memo)  # one budget unit per state
+        for budget in (s - 1, s):
+            got = search_memo(faces, topology._collapses_to_point, budget)
+            assert got == search_memo(faces, collapses_by_scan, budget)
+            assert (got[0] is None) == (budget < s)
+    assert states > 1000 and finished > 50 and refused > 0
 
 
 def test_homology_matches_ranks_on_complexes_and_cones():
