@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 negative answer from a predicate-style command
 (the command still prints ``false``/``none``), 2 bad usage or unparsable
 input, 3 a resource cap refused the computation (raise it with
 --max-trunks / --face-cap / --max-search-nodes).
+
+Only `codes` and `exceptions` load with this module, and building the
+parser loads nothing more; each command imports the names it uses, so a
+start-up pays only for the modules its command needs.
 """
 
 from __future__ import annotations
@@ -17,20 +21,8 @@ from pathlib import Path
 from . import __version__
 from .codes import (Code, _code_str, _display_key, code_to_obj, mask_members, parse_code,
                     read_json)
-from .constructions import (coproduct, is_intersection_complete,
-                            is_max_intersection_complete, product)
-from .enumeration import (DEFAULT_TRUNK_CAP, default_cache_dir, image_set_difference,
-                          image_set_to_obj, verify_image_membership,
-                          _enumerate_maybe_cached)
-from .exceptions import ResourceCapError
-from .morphisms import (decompose, explicit_map_from_obj, is_morphism,
-                        morphism_from_obj, morphism_to_obj)
-from .neural_ring import (coordinate, evaluate_monomial, indicator,
-                          morphism_to_monomial_map)
-from .reduction import (DEFAULT_MAX_NODES, canonical_form, minimum_neuron_number,
-                        reduce_code)
-from .topology import DEFAULT_FACE_CAP, local_obstruction_report
-from .trunks import all_trunks, irreducible_trunks, trunk_of, trunk_to_obj
+from .exceptions import (DEFAULT_FACE_CAP, DEFAULT_MAX_NODES, DEFAULT_TRUNK_CAP,
+                         ResourceCapError)
 
 # The 9-neuron power set, the largest lattice the benchmark lists, has 513 trunks.
 DEFAULT_LISTED_TRUNKS = 4096
@@ -71,10 +63,12 @@ def _load_obj(text: str) -> dict:
 
 
 def _load_morphism(text: str):
+    from .morphisms import morphism_from_obj
     return morphism_from_obj(_load_obj(text))
 
 
 def _load_map(text: str):
+    from .morphisms import explicit_map_from_obj
     return explicit_map_from_obj(_load_obj(text))
 
 
@@ -125,6 +119,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_trunks(args) -> int:
+    from .trunks import all_trunks, trunk_of, trunk_to_obj
     code = parse_code(args.code)
     if args.sigma is not None:
         t = trunk_of(code, _parse_word(args.sigma))
@@ -144,6 +139,7 @@ def _cmd_trunks(args) -> int:
 
 
 def _cmd_irreducible(args) -> int:
+    from .trunks import irreducible_trunks, trunk_to_obj
     ts = irreducible_trunks(parse_code(args.code))
     if args.json:
         print(json.dumps([trunk_to_obj(t) for t in ts]))
@@ -154,6 +150,7 @@ def _cmd_irreducible(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .reduction import reduce_code
     r = reduce_code(parse_code(args.code))
     if args.json:
         print(json.dumps({
@@ -166,11 +163,13 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_minn(args) -> int:
+    from .reduction import minimum_neuron_number
     print(minimum_neuron_number(parse_code(args.code)))
     return 0
 
 
 def _cmd_iso(args) -> int:
+    from .reduction import canonical_form
     a, b = parse_code(args.code1), parse_code(args.code2)
     cap = None if args.max_search_nodes <= 0 else args.max_search_nodes
     left, right = canonical_form(a, cap).code, canonical_form(b, cap).code
@@ -198,11 +197,13 @@ def _cmd_image(args) -> int:
 
 
 def _cmd_is_morphism(args) -> int:
+    from .morphisms import is_morphism
     return _bool_result(is_morphism(_load_map(args.map)), args.json,
                         "is_morphism")
 
 
 def _cmd_decompose(args) -> int:
+    from .morphisms import decompose, morphism_to_obj
     f = _load_map(args.map)
     try:
         m = decompose(f)
@@ -217,23 +218,27 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_product(args) -> int:
+    from .constructions import product
     _emit_code(product(parse_code(args.code1), parse_code(args.code2)),
                args.json)
     return 0
 
 
 def _cmd_coproduct(args) -> int:
+    from .constructions import coproduct
     _emit_code(coproduct(parse_code(args.code1), parse_code(args.code2),
                          with_empty=args.with_empty), args.json)
     return 0
 
 
 def _cmd_intcomplete(args) -> int:
+    from .constructions import is_intersection_complete
     return _bool_result(is_intersection_complete(parse_code(args.code)),
                         args.json, "intersection_complete")
 
 
 def _cmd_maxint(args) -> int:
+    from .constructions import is_max_intersection_complete
     return _bool_result(is_max_intersection_complete(parse_code(args.code)),
                         args.json, "max_intersection_complete")
 
@@ -243,6 +248,7 @@ def _max_trunks(args) -> int | None:
 
 
 def _cache_dir(args) -> Path | None:
+    from .enumeration import default_cache_dir
     if args.no_cache:
         return None
     if args.cache is not None:
@@ -253,6 +259,7 @@ def _cache_dir(args) -> Path | None:
 
 
 def _cmd_images(args) -> int:
+    from .enumeration import _enumerate_maybe_cached, image_set_to_obj
     code = parse_code(args.code)
     out = _enumerate_maybe_cached(code, _cache_dir(args), max_trunks=_max_trunks(args))
     if args.json:
@@ -268,6 +275,7 @@ def _cmd_images(args) -> int:
 
 
 def _cmd_diff_images(args) -> int:
+    from .enumeration import image_set_difference
     target = parse_code(args.target)
     baselines = [parse_code(t) for t in args.baseline]
     diff = image_set_difference(target, baselines, max_trunks=_max_trunks(args),
@@ -285,6 +293,8 @@ def _cmd_diff_images(args) -> int:
 
 
 def _cmd_member(args) -> int:
+    from .enumeration import verify_image_membership
+    from .morphisms import morphism_to_obj
     witness = verify_image_membership(parse_code(args.source),
                                       parse_code(args.target),
                                       max_trunks=_max_trunks(args))
@@ -299,6 +309,7 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_local_obs(args) -> int:
+    from .topology import local_obstruction_report
     rep = local_obstruction_report(parse_code(args.code), cap=args.face_cap)
     if args.json:
         print(json.dumps({
@@ -324,6 +335,7 @@ def _cmd_local_obs(args) -> int:
 
 
 def _cmd_ring(args) -> int:
+    from .neural_ring import coordinate, evaluate_monomial, indicator
     code = parse_code(args.code)
     if args.sigma is not None:
         el = evaluate_monomial(code, _parse_word(args.sigma))
@@ -350,6 +362,7 @@ def _cmd_ring(args) -> int:
 
 
 def _cmd_functor(args) -> int:
+    from .neural_ring import morphism_to_monomial_map
     phi = morphism_to_monomial_map(_load_morphism(args.morphism))
     if args.json:
         print(json.dumps({

@@ -66,12 +66,11 @@ from pathlib import Path
 
 from .codes import (MAX_NEURONS, Code, _json_list, code_to_obj, format_code, parse_code,
                     read_json)
-from .exceptions import _check_cap
+from .exceptions import DEFAULT_TRUNK_CAP, _check_cap
 from .morphisms import Morphism
 from .reduction import CanonicalForm, _min_relabeling, canonical_form
 from .trunks import Trunk, _index_members, _trunk_family_masksets
 
-DEFAULT_TRUNK_CAP = 24
 # Part of every cache file's name: a new format or canonical engine gets a
 # new version, so entries of an older one are never read (nor overwritten).
 _CACHE_FORMAT = "codecat-images-3"

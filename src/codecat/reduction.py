@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import NoReturn
 
 from .codes import Code, mask_members
-from .exceptions import ResourceCapError, _check_cap
+from .exceptions import DEFAULT_MAX_NODES, ResourceCapError, _check_cap
 from .morphisms import Morphism
 from .trunks import Trunk, irreducible_trunks, simple_trunks, trunk_of
 
@@ -91,9 +91,6 @@ def minimum_neuron_number(code: Code) -> int:
 
 # ---------------------------------------------------------------------------
 # canonical form
-
-# Search nodes one lex-min labelling may visit before it is refused.
-DEFAULT_MAX_NODES = 100_000
 
 # _BIT_REVERSED[b] is the byte b with its eight bits in reverse order.
 _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))

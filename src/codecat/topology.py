@@ -33,10 +33,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .codes import Code, _display_key, _word_key, mask_members, word_mask
-from .exceptions import ResourceCapError, _check_cap
+from .exceptions import DEFAULT_FACE_CAP, ResourceCapError, _check_cap
 from .trunks import _intersect_all
-
-DEFAULT_FACE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -239,13 +237,19 @@ def is_collapsible(k: SimplicialComplex, cap: int | None = DEFAULT_FACE_CAP) -> 
     """Can free-face removals shrink the complex to a single vertex?
 
     Exhaustive backtracking over collapse orders (greedy collapsing can dead
-    end), memoized on the intermediate face sets.  The cap bounds both the
-    face count and the number of search states visited; None removes it.
+    end), memoized on the intermediate face sets.  A collapse removes one
+    face of odd and one of even size, so it keeps the Euler characteristic
+    of the nonempty faces, and a point has 1: a complex whose faces, the
+    empty one included, are not half of odd size is answered False without
+    the search.  The cap bounds both the face count and the number of
+    search states visited; None removes it.
     """
     _check_cap(cap, "face cap")
     if not k.facets:
         return False
     faces = k.face_masks(cap)
+    if 2 * sum(f.bit_count() & 1 for f in faces) != len(faces):
+        return False
     return _collapses_to_point(faces, {}, [float("inf") if cap is None else cap])
 
 

@@ -2,14 +2,28 @@
 failures replay exactly."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections.abc import Collection
+from pathlib import Path
 
 from codecat import Code, Morphism, ResourceCapError, Trunk, canonical_form, topology
 from codecat.codes import MAX_NEURONS, _word_key, mask_members
 from codecat.enumeration import _canonical_of_reduced_masks, _index_pool, _trunk_words, _walk
 from codecat.reduction import DEFAULT_MAX_NODES
 from codecat.trunks import _index_members
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def python(*argv: str) -> subprocess.CompletedProcess:
+    """`python -W error *argv` in a fresh interpreter, with the package
+    imported from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("CODECAT_CACHE_DIR", None)
+    return subprocess.run([sys.executable, "-W", "error", *argv], capture_output=True, env=env)
 
 
 def random_code(rng: random.Random, n: int, max_words: int,

@@ -1,14 +1,14 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import codecat as codecat_pkg
 from codecat import morphism_from_obj, parse_code
 from codecat.cli import main
+
+from helpers import python
 
 FOUR = json.dumps({"domain": "{12,23,1,2,0}",
                    "trunk_generators": [[], [2], [1], [1, 2]]})
@@ -355,14 +355,6 @@ def test_local_obs_goldens(capsys):
     lines = out.splitlines()
     assert (rc, err, len(lines)) == (0, "", 20)
     assert sum(line.endswith(": no_obstruction") for line in lines) == 18
-
-
-def python(*argv: str) -> subprocess.CompletedProcess:
-    """`python -W error *argv` in a fresh interpreter, with the package
-    imported from this checkout."""
-    env = dict(os.environ, PYTHONPATH=str(Path(codecat_pkg.__file__).parents[1]))
-    env.pop("CODECAT_CACHE_DIR", None)
-    return subprocess.run([sys.executable, "-W", "error", *argv], capture_output=True, env=env)
 
 
 def codecat(*argv: str) -> subprocess.CompletedProcess:

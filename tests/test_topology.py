@@ -337,6 +337,46 @@ def test_collapse_search_visits_the_states_of_the_scan_search():
     assert states > 1000 and finished > 50 and refused > 0
 
 
+def euler_characteristic(faces) -> int:
+    return sum(1 if f.bit_count() & 1 else -1 for f in faces if f)
+
+
+def test_collapsibility_matches_the_scan_search_or_its_euler_characteristic():
+    # A collapse keeps the Euler characteristic, so a complex whose value is
+    # not 1 (a point's) is answered False without the search, even where
+    # the search would run out of its budget; every other verdict, and
+    # every refusal, is the search's.
+    verdicts = {}
+    for k in searched_complexes():
+        faces = k.face_masks()
+        cap = max(300, len(faces))
+        want, _ = search_memo(faces, collapses_by_scan, cap)
+        try:
+            got = is_collapsible(k, cap)
+        except ResourceCapError:
+            got = None
+        chi = euler_characteristic(faces)
+        if chi == 1:
+            assert got == want
+        else:
+            assert got is False and want is not True
+        key = (chi == 1, want)
+        verdicts[key] = verdicts.get(key, 0) + 1
+    assert verdicts[True, True] > 50 and verdicts[True, False] > 0
+    assert verdicts[False, False] > 10 and verdicts[False, None] > 0
+
+
+def test_nonzero_homology_needs_no_collapse_search():
+    # reduced H2 = 1 and H1 = 1: Euler characteristics 2 and 0; the search
+    # used to exhaust a cap of 20000 states on each before it was refused
+    for k, chi in ((SimplicialComplex(8, frozenset({27, 29, 175, 206, 246})), 2),
+                   (SimplicialComplex(7, frozenset({13, 74, 103, 120})), 0)):
+        assert euler_characteristic(k.face_masks()) == chi
+        assert is_collapsible(k, cap=1000) is False
+        with pytest.raises(ResourceCapError):
+            topology._collapses_to_point(k.face_masks(), {}, [1000])
+
+
 def test_homology_matches_ranks_on_complexes_and_cones():
     ks = seeded_complexes() + [SPHERE2, RP2, dunce_hat(),
                                SimplicialComplex.from_masks(1, [0])]
