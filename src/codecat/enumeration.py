@@ -16,17 +16,20 @@ canonicalized (they are already reduced) and deduplicated by canonical form.
 The walk carries the image of every source word down the tree: choosing
 the trunk at depth d sets bit d in the images of its words, and backing out
 clears it, so a node's image is read off without revisiting its trunks.
-Canonical forms come from a labelling cache keyed by (k, image words).  An
-image the cache lacks is looked up a second time under its invariant key:
-the image relabelled so that its neurons are sorted by the sizes of the
-words that hold them, the vertex-invariant refinement step of
-individualise-and-refine labelling (McKay and Piperno, 2014).  The key is
-itself a relabelling of the image, so images with one key are isomorphic
+Canonical forms come from a labelling cache keyed by _label_key(k, image
+words): one bytes object, k and then the sorted words at a fixed width,
+much smaller than a (k, frozenset) tuple.  An image the cache lacks is
+looked up a second time under the key of its invariant relabelling: the
+image relabelled so that its neurons are sorted by the sizes of the words
+that hold them, the vertex-invariant refinement step of
+individualise-and-refine labelling (McKay and Piperno, 2014).  That key
+names a relabelling of the image, so images with one key are isomorphic
 and share a canonical form, and isomorphic images reached through other
 trunks often share the key; only an image that misses both lookups is
-searched.  The search returns the canonical words in Code.masks order,
-so the canonical code is built without checking or sorting its words
-again, and neither the census's final sort nor a cache write sorts them.
+searched.  The search returns the canonical words in Code.masks order, so
+the canonical code is built without checking or sorting its words again,
+and neither the census's final sort nor a cache write sorts them.  A
+census run with a cache of its own frees it before that sort.
 One cache serves every census and walk of an image_set_difference call,
 the cached censuses that miss included; no cache outlives its call.
 Every walk runs in the calling process.
@@ -54,7 +57,6 @@ is read at most once per call; nothing of it outlives the call.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -188,23 +190,38 @@ def _filter_key(m: int, masks: frozenset[int]) -> tuple:
     return m, len(masks), tuple(sorted(map(tuple, _held_sizes(m, masks))))
 
 
+def _label_key(m: int, masks) -> bytes:
+    """The labelling cache's key for the code on 1..m given by the distinct
+    masks: one byte for m, then the masks in ascending order, each at a
+    fixed width of max(1, ceil(m/8)) bytes, big-endian.
+
+    Injective: m fixes the width, so the key gives back m and every mask.
+    The width is never 0, so the codes {} and {0} on no neurons differ."""
+    if m <= 8:
+        return bytes((m, *sorted(masks)))
+    width = (m + 7) // 8
+    return bytes((m,)) + b"".join([w.to_bytes(width, "big") for w in sorted(masks)])
+
+
 def _canonical_of_reduced_masks(m: int, masks: frozenset[int],
                                 cache: dict) -> Code:
     """Canonical form of an already-reduced code given by masks on 1..m.
 
-    cache maps (m, masks) keys to canonical forms.  When the code's own key
-    misses, its invariant key is looked up, and the lex-min search runs only
-    if that misses too; the answer is then stored under both keys.  This is
-    sound because every key in the cache is a relabelling of each code
-    stored under it: two codes with one key are isomorphic, so they have the
-    same canonical form."""
-    hit = cache.get((m, masks))
+    cache maps _label_key(m, masks) keys to canonical forms.  When the
+    code's own key misses, the key of its invariant relabelling is looked
+    up, and the lex-min search runs only if that misses too; the answer is
+    then stored under both keys.  This is sound because _label_key is
+    injective, so every key in the cache names one code, a relabelling of
+    each code stored under it: two codes with one key are isomorphic, so
+    they have the same canonical form."""
+    raw = _label_key(m, masks)
+    hit = cache.get(raw)
     if hit is None:
-        key = _invariant_key(m, masks)
+        key = _label_key(*_invariant_key(m, masks))
         hit = cache.get(key)
         if hit is None:
             hit = cache[key] = Code._of_ordered_masks(m, _min_relabeling(masks, m)[0])
-        cache[(m, masks)] = hit
+        cache[raw] = hit
     return hit
 
 
@@ -285,6 +302,9 @@ def enumerate_reduced_images(code: Code, *, jobs: int = 1,
     found: set = set()
     counters = [0, 0]
     _collect(_walk(pool, members, [], images, 0, counters), images, found, labels)
+    # Drop this census's own cache (a caller's _labels lives on) before the
+    # sort keys are built, so the two are never alive together.
+    del labels
     stats = EnumerationStats(counters[0], counters[1], time.monotonic() - t0)
     source = canonical_form(code) if _source is None else _source
     return ImageSet(source, tuple(sorted(found, key=_code_key)), stats)
@@ -483,6 +503,7 @@ def cached_enumerate(code: Code, cache_dir: Path | str, *, jobs: int = 1,
         known = _entries[source.code]
         return ImageSet(source, known.images, known.stats)
     cdir = Path(cache_dir)
+    import hashlib  # only cache file names need it; a plain census never loads it
     key = f"{_CACHE_FORMAT}\n{format_code(source.code, 'json')}"
     digest = hashlib.sha256(key.encode()).hexdigest()[:32]
     path = cdir / f"images-{digest}.json"

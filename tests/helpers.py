@@ -211,6 +211,20 @@ def image_signature(words_count: int, chosen) -> frozenset[int]:
     return frozenset(out)
 
 
+def decode_label_key(key: bytes) -> tuple[int, frozenset[int]]:
+    """The (m, masks) pair a labelling cache key names: its first byte is m,
+    and the rest is the masks in strictly ascending order, each big-endian
+    in max(1, ceil(m / 8)) bytes.  Reference for enumeration._label_key;
+    AssertionError for a key that no pair gives."""
+    m, body = key[0], key[1:]
+    width = max(1, -(-m // 8))
+    assert len(body) % width == 0, key
+    masks = [int.from_bytes(body[i:i + width], "big") for i in range(0, len(body), width)]
+    assert all(a < b for a, b in zip(masks, masks[1:])), key
+    assert all(w >> m == 0 for w in masks), key
+    return m, frozenset(masks)
+
+
 def difference_by_censuses(target: Code, baselines: list[Code], census) -> tuple[Code, ...]:
     """The images in target's full census that are in no baseline's full
     census; census(code) gives the images of code's census, from

@@ -17,8 +17,8 @@ from codecat import (Code, ResourceCapError, all_trunks, canonical_form,
                      image_set_to_obj, is_isomorphic, is_reduced, parse_code,
                      reduce_code, verify_image_membership)
 
-from helpers import (code_key_by_pairs, cycle_code, difference_by_censuses, edge_codes,
-                     hollow_triangles, image_signature, induced_image_words,
+from helpers import (code_key_by_pairs, cycle_code, decode_label_key, difference_by_censuses,
+                     edge_codes, hollow_triangles, image_signature, induced_image_words,
                      membership_by_full_walk, min_relabeling_by_swaps, random_codes,
                      random_relabelling, stays_irredundant_by_pairs)
 
@@ -507,6 +507,92 @@ def test_filter_key_is_an_isomorphism_invariant():
     for _ in range(3):
         target, *baselines = (random_relabelling(rng, c) for c in (CF, DF, EF))
         assert image_set_difference(target, baselines) == flagship
+
+
+
+def test_label_cache_keys_are_bytes_naming_their_canonical_form():
+    # the CF, DF and EF censuses in one cache, as a cached difference runs
+    # them: the keys of 1540 distinct requests and of their invariant
+    # relabellings, every one a bytes object that decodes to a code whose
+    # canonical form is the code it maps to
+    labels = {}
+    for code, count in [(CF, 178), (DF, 721), (EF, 133)]:
+        assert len(enumerate_reduced_images(code, _labels=labels).images) == count
+    assert (len(labels), len(set(labels.values()))) == (2192, 744)
+    for key, code in labels.items():
+        assert type(key) is bytes
+        assert canonical_form(Code(*decode_label_key(key))).code == code, key
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 15, 16, 17, 63, 64])
+def test_label_key_width_boundaries(m):
+    # one byte per mask up to m = 8, two from 9 to 16, three from 17, and
+    # eight at 64: the empty mask, the full one and one bit each
+    width = max(1, -(-m // 8))
+    full = (1 << m) - 1
+    for masks in [frozenset(), frozenset({0}), frozenset({0, full}),
+                  frozenset(1 << i for i in range(m))]:
+        key = enumeration._label_key(m, masks)
+        assert len(key) == 1 + width * len(masks)
+        assert decode_label_key(key) == (m, masks)
+    assert enumeration._label_key(m, {full}) == bytes([m]) + full.to_bytes(width, "big")
+
+
+def test_codes_on_no_neurons_keep_their_own_canonical_forms():
+    # with a width of 0 the codes {} and {0} on no neurons would share a key
+    empty, zero = frozenset(), frozenset({0})
+    assert enumeration._label_key(0, empty) == b"\x00"
+    assert enumeration._label_key(0, zero) == b"\x00\x00"
+    labels = {}
+    for masks, code in [(empty, Code(0, [])), (zero, Code(0, [[]]))] * 2:
+        got = enumeration._canonical_of_reduced_masks(0, masks, labels)
+        assert got == canonical_form(code).code
+    assert len(labels) == 2
+
+
+def test_label_key_round_trips_and_is_injective():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def pairs(draw):
+        m = draw(st.integers(0, 64))
+        bits = st.integers(0, (1 << m) - 1) | st.sampled_from([0, (1 << m) - 1])
+        return m, draw(st.frozensets(bits, max_size=12))
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(pairs(), pairs())
+    def check(a, b):
+        key_a, key_b = enumeration._label_key(*a), enumeration._label_key(*b)
+        assert decode_label_key(key_a) == a
+        assert decode_label_key(key_b) == b
+        assert (key_a == key_b) == (a == b)
+
+    check()
+    # pairs that differ only in m, or in one mask near a byte boundary
+    near = {(m, frozenset(masks)) for m in (0, 1, 8, 9, 16, 17, 63, 64)
+            for masks in ([], [0], [1], [0, 1], [255], [256], [(1 << m) - 1])
+            if all(w >> m == 0 for w in masks)}
+    assert len({enumeration._label_key(*pair) for pair in near}) == len(near)
+
+
+def test_census_near_the_trunk_cap_pinned():
+    # an 18-trunk pool; 24 of its 14323 labelling requests have m = 9, so
+    # their keys take two bytes per mask
+    code = Code(7, [3, 52, 109, 118, 123, 125])
+    labels = {}
+    out = enumerate_reduced_images(code, _labels=labels)
+    assert len(enumeration._index_pool(code, None)[1]) == 18
+    assert len(out.images) == 7127
+    assert (out.stats.explored, out.stats.pruned) == (14323, 22175)
+    text = "\n".join(format_code(c, "json") for c in out.images)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "eba1aa51d4e6ccc1"
+    wide = [key for key in labels if key[0] == 9]
+    assert len(wide) == 48
+    for key in wide:
+        m, masks = decode_label_key(key)
+        assert len(key) == 1 + 2 * len(masks)
+        assert canonical_form(Code(m, masks)).code == labels[key]
 
 
 @functools.cache

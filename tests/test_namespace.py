@@ -96,6 +96,7 @@ def test_patching_and_restoring_a_name_keeps_the_original():
 FOOTPRINT = """
     import io, json, sys
     from contextlib import redirect_stdout
+    hashlib_before = "hashlib" in sys.modules
     import codecat
     loaded = {{"import": sorted(m for m in sys.modules if m.startswith("codecat."))}}
     from codecat import cli
@@ -103,6 +104,7 @@ FOOTPRINT = """
         rc = cli.main({argv!r})
     loaded["command"] = sorted(m[len("codecat."):] for m in sys.modules
                                if m.startswith("codecat."))
+    loaded["hashlib"] = not hashlib_before and "hashlib" in sys.modules
     print(json.dumps([rc, loaded]))
 """
 
@@ -113,11 +115,15 @@ C0 = "{3456,123,145,256,45,56,1,2,3,0}"
     (["parse", C0], {"cli", "codes", "exceptions"}, None),
     (["iso", C0, C0], {"reduction"}, {"enumeration", "topology", "neural_ring", "constructions"}),
     (["local-obs", C0], {"topology"}, {"enumeration", "reduction", "morphisms", "neural_ring"}),
-], ids=["parse", "iso", "local-obs"])
+    (["member", C0, C0], {"enumeration"}, {"topology", "neural_ring", "constructions"}),
+    (["images", "--no-cache", C0], {"enumeration"}, {"topology", "neural_ring", "constructions"}),
+], ids=["parse", "iso", "local-obs", "member", "images"])
 def test_import_and_each_command_load_only_what_they_use(argv, needs, never):
-    # never=None: the command loads exactly what it needs
+    # never=None: the command loads exactly what it needs.  Only cache file
+    # names use hashlib, so no command here loads it (unless the interpreter
+    # had it before codecat was imported)
     rc, loaded = json.loads(run_fresh(FOOTPRINT.format(argv=argv)))
-    assert rc == 0 and loaded["import"] == []
+    assert rc == 0 and loaded["import"] == [] and not loaded["hashlib"]
     assert needs <= set(loaded["command"])
     if never is None:
         assert set(loaded["command"]) == needs
