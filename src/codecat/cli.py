@@ -19,8 +19,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .codes import (Code, _code_str, _display_key, code_to_obj, mask_members, parse_code,
-                    read_json)
+from .codes import (Code, _code_str, _fmt_masks, _fmt_word, code_to_obj, mask_members,
+                    parse_code, read_json)
 from .exceptions import (DEFAULT_FACE_CAP, DEFAULT_MAX_NODES, DEFAULT_TRUNK_CAP,
                          ResourceCapError)
 
@@ -74,20 +74,6 @@ def _load_map(text: str):
 
 # ---------------------------------------------------------------------------
 # output helpers
-
-def _fmt_word(members) -> str:
-    ms = sorted(members)
-    if not ms:
-        return "0"
-    if ms[-1] <= 9:
-        return "".join(str(i) for i in ms)
-    return "{" + ",".join(str(i) for i in ms) + "}"
-
-
-def _fmt_masks(masks) -> str:
-    words = sorted(masks, key=_display_key)
-    return "{" + ",".join(_fmt_word(mask_members(m)) for m in words) + "}"
-
 
 def _emit_code(code: Code, as_json: bool) -> None:
     if as_json:
@@ -259,9 +245,11 @@ def _cache_dir(args) -> Path | None:
 
 
 def _cmd_images(args) -> int:
-    from .enumeration import _enumerate_maybe_cached, image_set_to_obj
+    from .enumeration import cached_enumerate, enumerate_reduced_images, image_set_to_obj
     code = parse_code(args.code)
-    out = _enumerate_maybe_cached(code, _cache_dir(args), max_trunks=_max_trunks(args))
+    cache_dir, cap = _cache_dir(args), _max_trunks(args)
+    out = (enumerate_reduced_images(code, max_trunks=cap) if cache_dir is None
+           else cached_enumerate(code, cache_dir, max_trunks=cap))
     if args.json:
         print(json.dumps(image_set_to_obj(out)))
         return 0

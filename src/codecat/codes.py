@@ -283,6 +283,22 @@ def parse_code(value: str | dict) -> Code:
     return _words_from_json_lists(value["words"], n_obj)
 
 
+def _fmt_word(members) -> str:
+    """A word as compact text: "0" if empty, digits, or {1,10} above 9."""
+    ms = sorted(members)
+    if not ms:
+        return "0"
+    if ms[-1] <= 9:
+        return "".join(str(i) for i in ms)
+    return "{" + ",".join(str(i) for i in ms) + "}"
+
+
+def _fmt_masks(masks) -> str:
+    """Word masks in display order, each spelled by _fmt_word, in braces."""
+    words = sorted(masks, key=_display_key)
+    return "{" + ",".join(_fmt_word(mask_members(m)) for m in words) + "}"
+
+
 def _display_masks(code: Code) -> list[int]:
     # _display_key is a total order, so the word set needs no sort before it.
     return sorted(code.mask_set, key=_display_key)
@@ -309,10 +325,7 @@ def format_code(code: Code, style: str = "compact") -> str:
         return prefix + body
     if code.n > 9:
         raise ValueError(f"compact style requires n <= 9, got n={code.n}")
-    toks = []
-    for m in _display_masks(code):
-        toks.append("".join(str(i) for i in mask_members(m)) if m else "0")
-    return prefix + "{" + ",".join(toks) + "}"
+    return prefix + _fmt_masks(code.mask_set)
 
 
 def code_to_obj(code: Code) -> dict:

@@ -1,8 +1,9 @@
 """Products, coproducts, and intersection completeness.
 
 The product of codes on n and m neurons lives on n+m neurons and takes all
-unions c | shift(d); the coproduct tags the two sides with two fresh neurons
-so the images stay disjoint, with an option to adjoin the empty word.
+unions of c and d shifted by n; the coproduct tags the two sides with two
+fresh neurons so the images stay disjoint, with an option to adjoin the
+empty word.
 """
 
 from __future__ import annotations
@@ -12,15 +13,11 @@ from .codes import Code
 from .trunks import _trunk_family_masksets  # noqa: F401
 
 
-def _shift(mask: int, by: int) -> int:
-    return mask << by
-
-
 def product(a: Code, b: Code) -> Code:
-    """{c union shift(d)} on n+m neurons.  Both codes must have words."""
+    """{c union (d shifted by n)} on n+m neurons.  Both codes must have words."""
     if not a.masks or not b.masks:
         raise ValueError("product requires both codes to be nonempty")
-    words = {ca | _shift(cb, a.n) for ca in a.mask_set for cb in b.mask_set}
+    words = {ca | cb << a.n for ca in a.mask_set for cb in b.mask_set}
     return Code(a.n + b.n, words)
 
 
@@ -34,7 +31,7 @@ def coproduct(a: Code, b: Code, with_empty: bool = False) -> Code:
     tag_a = 1 << (n + m)
     tag_b = 1 << (n + m + 1)
     words = {ca | tag_a for ca in a.mask_set}
-    words |= {_shift(cb, n) | tag_b for cb in b.mask_set}
+    words |= {cb << n | tag_b for cb in b.mask_set}
     if with_empty:
         words.add(0)
     return Code(n + m + 2, words)

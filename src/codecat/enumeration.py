@@ -71,7 +71,7 @@ from .codes import (MAX_NEURONS, Code, _json_list, code_to_obj, format_code, par
 from .exceptions import DEFAULT_TRUNK_CAP, _check_cap
 from .morphisms import Morphism
 from .reduction import CanonicalForm, _min_relabeling, canonical_form
-from .trunks import Trunk, _index_members, _trunk_family_masksets
+from .trunks import Trunk, _bit_indices, _index_members, _trunk_family_masksets
 
 # Part of every cache file's name: a new format or canonical engine gets a
 # new version, so entries of an older one are never read (nor overwritten).
@@ -157,14 +157,15 @@ def _held_sizes(m: int, masks: frozenset[int]) -> list[list[int]]:
     return held
 
 
-def _invariant_key(m: int, masks: frozenset[int]) -> tuple[int, frozenset[int]]:
-    """(m, words) of the code on 1..m given by masks, relabelled so that its
-    neurons are sorted by the sorted sizes of the words that hold them,
-    ties kept in their old order.
+def _invariant_key(m: int, masks: frozenset[int]) -> bytes:
+    """The _label_key of the code on 1..m given by masks, relabelled so
+    that its neurons are sorted by the sorted sizes of the words that hold
+    them, ties kept in their old order.
 
     The sort key is an isomorphism invariant, so isomorphic codes often get
-    one key; and the key is a relabelling of the code, so it always has the
-    code's canonical form."""
+    one key; and the key names a relabelling of the code, so it always has
+    the code's canonical form.  A relabelling keeps the words distinct, so
+    they go to _label_key as a list."""
     held = _held_sizes(m, masks)
     bits = [0] * m
     for new, o in enumerate(sorted(range(m), key=held.__getitem__)):
@@ -177,7 +178,7 @@ def _invariant_key(m: int, masks: frozenset[int]) -> tuple[int, frozenset[int]]:
             v |= bits[low.bit_length() - 1]
             w ^= low
         relabelled.append(v)
-    return m, frozenset(relabelled)
+    return _label_key(m, relabelled)
 
 
 def _filter_key(m: int, masks: frozenset[int]) -> tuple:
@@ -217,7 +218,7 @@ def _canonical_of_reduced_masks(m: int, masks: frozenset[int],
     raw = _label_key(m, masks)
     hit = cache.get(raw)
     if hit is None:
-        key = _label_key(*_invariant_key(m, masks))
+        key = _invariant_key(m, masks)
         hit = cache.get(key)
         if hit is None:
             hit = cache[key] = Code._of_ordered_masks(m, _min_relabeling(masks, m)[0])
@@ -225,12 +226,7 @@ def _canonical_of_reduced_masks(m: int, masks: frozenset[int],
     return hit
 
 
-def _trunk_words(words_count: int, pool: list[int]) -> list[tuple[int, ...]]:
-    """The indices of the source words in each trunk of the pool."""
-    return [tuple(k for k in range(words_count) if t >> k & 1) for t in pool]
-
-
-def _walk(pool: list[int], members: list[tuple[int, ...]], chosen: list[int],
+def _walk(pool: list[int], members: list[list[int]], chosen: list[int],
           images: list[int], start: int, counters: list[int], depth: int | None = None):
     """Yield chosen and each irredundant extension of it by trunks from
     pool[start:], at most depth trunks long if depth is given, depth first
@@ -269,7 +265,7 @@ def _collect(nodes, images: list[int], found: set, labels: dict) -> None:
 def _subtree_job(args):
     # The census no longer calls this; perfbench's pool_tasks times each job.
     words_count, pool, first = args
-    members = _trunk_words(words_count, pool)
+    members = [_bit_indices(t) for t in pool]
     images = [0] * words_count
     for k in members[first]:
         images[k] = 1
@@ -297,7 +293,7 @@ def enumerate_reduced_images(code: Code, *, jobs: int = 1,
     t0 = time.monotonic()
     words, pool = _index_pool(code, max_trunks)
     labels = {} if _labels is None else _labels
-    members = _trunk_words(len(words), pool)
+    members = [_bit_indices(t) for t in pool]
     images = [0] * len(words)
     found: set = set()
     counters = [0, 0]
@@ -346,7 +342,7 @@ def _cover(code: Code, uncovered: dict[tuple, set[Code]], labels: dict,
     sizes = {m for m, _ in shapes}
     depth = max(sizes)
     images = [0] * len(words)
-    for chosen in _walk(pool, _trunk_words(len(words), pool), [], images, 0, [0, 0], depth):
+    for chosen in _walk(pool, [_bit_indices(t) for t in pool], [], images, 0, [0, 0], depth):
         k = len(chosen)
         if k not in sizes:
             continue
@@ -548,9 +544,3 @@ def _read_entry(path: Path, source: CanonicalForm) -> ImageSet | None:
     except (ValueError, KeyError, TypeError):
         pass  # unreadable or malformed entry; recompute and overwrite
     return None
-
-
-def _enumerate_maybe_cached(code: Code, cache_dir, **kw) -> ImageSet:
-    if cache_dir is None:
-        return enumerate_reduced_images(code, **kw)
-    return cached_enumerate(code, cache_dir, **kw)

@@ -156,20 +156,21 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     return Morphism(f.domain, tuple(trunks))
 
 
+def _onto_image(code: Code, mapping: dict[int, int]) -> ExplicitMap:
+    """The word map given by mapping, onto its image on the same neurons."""
+    return ExplicitMap.from_masks(code, Code(code.n, set(mapping.values())), mapping)
+
+
 def restriction_morphism(code: Code, gamma: Iterable[int]) -> ExplicitMap:
     """c -> c intersect gamma, onto its image."""
     gmask = word_mask(gamma, code.n)
-    mapping = {m: m & gmask for m in code.mask_set}
-    codomain = Code(code.n, set(mapping.values()))
-    return ExplicitMap.from_masks(code, codomain, mapping)
+    return _onto_image(code, {m: m & gmask for m in code.mask_set})
 
 
 def union_morphism(code: Code, gamma: Iterable[int]) -> ExplicitMap:
     """c -> c union gamma, onto its image."""
     gmask = word_mask(gamma, code.n)
-    mapping = {m: m | gmask for m in code.mask_set}
-    codomain = Code(code.n, set(mapping.values()))
-    return ExplicitMap.from_masks(code, codomain, mapping)
+    return _onto_image(code, {m: m | gmask for m in code.mask_set})
 
 
 def permutation_morphism(code: Code, perm: Iterable[int]) -> ExplicitMap:
@@ -182,9 +183,7 @@ def permutation_morphism(code: Code, perm: Iterable[int]) -> ExplicitMap:
         for i in mask_members(mask):
             out |= 1 << (p[i - 1] - 1)
         return out
-    mapping = {m: relabel(m) for m in code.mask_set}
-    codomain = Code(code.n, set(mapping.values()))
-    return ExplicitMap.from_masks(code, codomain, mapping)
+    return _onto_image(code, {m: relabel(m) for m in code.mask_set})
 
 
 def explicit_map_to_obj(f: ExplicitMap) -> dict:

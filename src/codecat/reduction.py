@@ -22,7 +22,7 @@ from typing import NoReturn
 from .codes import Code, mask_members
 from .exceptions import DEFAULT_MAX_NODES, ResourceCapError, _check_cap
 from .morphisms import Morphism
-from .trunks import Trunk, irreducible_trunks, simple_trunks, trunk_of
+from .trunks import irreducible_trunks, simple_trunks, trunk_of
 
 
 def trivial_neurons(code: Code) -> set[int]:
@@ -37,29 +37,22 @@ def redundant_neurons(code: Code) -> list[tuple[int, frozenset[int]]]:
     If any sigma avoiding i works then so does the generator of Tk(i) with i
     removed, by maximality of the generator.
     """
-    return list(_redundant(code, simple_trunks(code)))
-
-
-def _redundant(code: Code, simple: list[tuple[int, Trunk]]):
-    """Yield redundant_neurons(code) in turn, given simple_trunks(code)."""
-    for i, t in simple:
+    out = []
+    for i, t in simple_trunks(code):
         if not t.member_masks:
             continue
-        bit = 1 << (i - 1)
-        witness = t.generator_mask & ~bit
+        witness = t.generator_mask & ~(1 << (i - 1))
         if trunk_of(code, witness).member_masks == t.member_masks:
-            yield i, frozenset(mask_members(witness))
+            out.append((i, frozenset(mask_members(witness))))
+    return out
 
 
 def is_reduced(code: Code) -> bool:
-    """No trivial neurons and no redundant neurons.
-
-    That makes i -> Tk(i) injective too: if Tk(i) = Tk(j) for i != j, then j
-    lies in the generator g of Tk(i), so Tk(g - i) = Tk(i) and i is redundant.
-    """
-    simple = simple_trunks(code)
-    return (all(t.member_masks for _, t in simple)
-            and next(_redundant(code, simple), None) is None)
+    """No trivial and no redundant neurons, that is, n irreducible trunks:
+    every irreducible trunk is a simple trunk, and Tk(i) is empty, the whole
+    code, another Tk(j) or an intersection of strictly larger trunks exactly
+    when i is trivial or redundant."""
+    return minimum_neuron_number(code) == code.n
 
 
 @dataclass(frozen=True)
@@ -77,8 +70,10 @@ def reduce_code(code: Code) -> ReductionResult:
     trunk (ordered by generator).  An already-reduced code comes back
     unchanged, so reducing is idempotent.
     """
-    already = is_reduced(code)
-    trunks = [t for _, t in simple_trunks(code)] if already else irreducible_trunks(code)
+    trunks = irreducible_trunks(code)
+    already = len(trunks) == code.n  # is_reduced(code); keep the neuron order
+    if already:
+        trunks = [t for _, t in simple_trunks(code)]
     iso = Morphism(code, tuple(trunks))
     origins = tuple(frozenset(mask_members(t.generator_mask)) for t in trunks)
     return ReductionResult(code if already else iso.image(), iso, origins)
@@ -325,8 +320,9 @@ def canonical_form(code: Code, max_nodes: int | None = DEFAULT_MAX_NODES) -> Can
     if max_nodes is not None and max_nodes < 0:
         _refuse(max_nodes)
     # reduce_code(code).reduced, without the Morphism and origins it also
-    # builds: a reduced code is its own reduction.
-    red = code if is_reduced(code) else Morphism(code, tuple(irreducible_trunks(code))).image()
+    # builds: a code with n irreducible trunks is reduced, its own reduction.
+    trunks = irreducible_trunks(code)
+    red = code if len(trunks) == code.n else Morphism(code, tuple(trunks)).image()
     masks, perm = _min_relabeling(red.masks, red.n, max_nodes)
     return CanonicalForm(Code._of_ordered_masks(red.n, masks), perm)
 

@@ -135,26 +135,24 @@ def _is_simplex(faces: frozenset[int]) -> bool:
     return len(faces) == 1 << top.bit_count() and top.bit_count() >= 1
 
 
-def _free_pairs(faces: frozenset[int]) -> list[tuple[int, int]]:
-    """(tau, F) with tau nonempty and properly contained in exactly the one
-    face F; ordered lowest dimension first, then lexicographically.
+def _free_pairs(faces: frozenset[int], union: int) -> list[tuple[tuple, int, int]]:
+    """(_word_key(tau), tau, F) with tau nonempty and properly contained in
+    exactly the one face F; ordered lowest dimension first, then
+    lexicographically.  union holds every vertex of the faces.
 
     faces is downward closed, so every proper coface of tau contains a
     one-vertex cover tau | b that is a face.  Hence tau is free exactly when
     just one such cover is a face: that cover F then has no cover F | c of its
     own, which would make tau | c a second one.  Only the one-vertex covers,
-    over the bits of the union of the faces, are looked up.
+    over the bits of union, are looked up.
     """
-    union = 0
-    for f in faces:
-        union |= f
     out = []
     for tau in faces:
         if tau:
             top = _only_cover(tau, faces, union)
             if top:
-                out.append((tau, top))
-    out.sort(key=lambda p: _word_key(p[0]))
+                out.append((_word_key(tau), tau, top))
+    out.sort()
     return out
 
 
@@ -191,15 +189,18 @@ def _collapses_to_point(faces: frozenset[int], memo: dict[frozenset[int], bool],
     the one _free_pairs would list.  It is built only after the child's
     memo lookup and budget decrement, so the states visited, their order,
     the memo and the refusal point are those of a search that lists every
-    state's pairs from scratch.
+    state's pairs from scratch.  The path is a list, not Python recursion,
+    so a long collapse sequence cannot exhaust the interpreter's stack.
     """
     union = 0
     for f in faces:
         union |= f
+    path: list[list] = []  # [state, its free pairs, index of the next pair to try]
 
-    def search(faces: frozenset[int], pairs: list | None, tau: int, top: int) -> bool:
-        # pairs: the parent's free pairs as (_word_key(tau), tau, F), or
-        # None at the root; (tau, top) is the pair the parent removed.
+    def enter(faces: frozenset[int], pairs: list | None, tau: int, top: int) -> bool | None:
+        # The memo's or a simplex's verdict on faces, or None once faces is
+        # pushed on the path.  pairs: the parent's free pairs as
+        # (_word_key(tau), tau, F), None at the root; it removed (tau, top).
         hit = memo.get(faces)
         if hit is not None:
             return hit
@@ -211,7 +212,7 @@ def _collapses_to_point(faces: frozenset[int], memo: dict[frozenset[int], bool],
             memo[faces] = True  # any simplex collapses to a vertex
             return True
         if pairs is None:
-            pairs = [(_word_key(t), t, f) for t, f in _free_pairs(faces)]
+            pairs = _free_pairs(faces, union)
         else:
             pairs = [p for p in pairs if p[2] != top]
             rest = tau
@@ -222,15 +223,21 @@ def _collapses_to_point(faces: frozenset[int], memo: dict[frozenset[int], bool],
                     cover = sigma and _only_cover(sigma, faces, union)
                     if cover:
                         insort(pairs, (_word_key(sigma), sigma, cover))
-        result = False
-        for _, t, f in pairs:
-            if search(faces - {t, f}, pairs, t, f):
-                result = True
-                break
-        memo[faces] = result
-        return result
+        path.append([faces, pairs, 0])
+        return None
 
-    return search(faces, None, 0, 0)
+    verdict = enter(faces, None, 0, 0)
+    while path:
+        state, pairs, i = frame = path[-1]
+        if verdict or i == len(pairs):
+            # A child collapses, or every child has failed.
+            path.pop()
+            verdict = memo[state] = bool(verdict)
+            continue
+        _, t, f = pairs[i]
+        frame[2] = i + 1
+        verdict = enter(state - {t, f}, pairs, t, f)
+    return verdict
 
 
 def is_collapsible(k: SimplicialComplex, cap: int | None = DEFAULT_FACE_CAP) -> bool:

@@ -16,7 +16,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .codes import Code, _display_key, _word_key, mask_members, word_mask
+from .codes import (Code, _display_key, _fmt_masks, _fmt_word, _word_key, mask_members,
+                    word_mask)
 from .exceptions import ResourceCapError, _check_cap
 
 
@@ -64,12 +65,8 @@ class Trunk:
     def __repr__(self) -> str:
         if not self.member_masks:
             return "Trunk(empty)"
-        members = ",".join(
-            "".join(map(str, mask_members(m))) or "0"
-            for m in sorted(self.member_masks, key=_display_key)
-        )
-        gen = "".join(map(str, mask_members(self.generator_mask))) or "{}"
-        return f"Trunk(Tk({gen}) = {{{members}}})"
+        gen = _fmt_word(mask_members(self.generator_mask)) if self.generator_mask else "{}"
+        return f"Trunk(Tk({gen}) = {_fmt_masks(self.member_masks)})"
 
 
 def _intersect_all(masks: Iterable[int]) -> int:

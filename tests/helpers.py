@@ -10,10 +10,10 @@ from collections.abc import Collection
 from pathlib import Path
 
 from codecat import Code, Morphism, ResourceCapError, Trunk, canonical_form, topology
-from codecat.codes import MAX_NEURONS, _word_key, mask_members
-from codecat.enumeration import _canonical_of_reduced_masks, _index_pool, _trunk_words, _walk
+from codecat.codes import MAX_NEURONS, mask_members
+from codecat.enumeration import _canonical_of_reduced_masks, _index_pool, _walk
 from codecat.reduction import DEFAULT_MAX_NODES
-from codecat.trunks import _index_members
+from codecat.trunks import _bit_indices, _index_members
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -246,7 +246,7 @@ def membership_by_full_walk(source: Code, target: Code) -> Morphism | None:
     words, pool = _index_pool(source, None)
     images = [0] * len(words)
     labels: dict = {}
-    for chosen in _walk(pool, _trunk_words(len(words), pool), [], images, 0, [0, 0], target.n):
+    for chosen in _walk(pool, [_bit_indices(t) for t in pool], [], images, 0, [0, 0], target.n):
         if (len(chosen) == target.n
                 and _canonical_of_reduced_masks(target.n, frozenset(images), labels) == target):
             return Morphism(source, tuple(Trunk(_index_members(words, t)) for t in chosen))
@@ -555,8 +555,8 @@ def code_from_json_lists_by_full_checks(data, declared: int | None) -> Code:
 def free_pairs_by_scan(faces: frozenset[int]) -> list[tuple[int, int]]:
     """(tau, F) with tau nonempty and properly contained in exactly the one
     face F, found by scanning every face for each tau; ordered by
-    _word_key of tau.  Reference for topology._free_pairs, which looks up
-    only the one-vertex covers."""
+    tuple_word_key of tau.  Reference for topology._free_pairs, which looks
+    up only the one-vertex covers."""
     out = []
     for tau in faces:
         if tau == 0:
@@ -564,7 +564,7 @@ def free_pairs_by_scan(faces: frozenset[int]) -> list[tuple[int, int]]:
         over = [f for f in faces if f != tau and f & tau == tau]
         if len(over) == 1:
             out.append((tau, over[0]))
-    out.sort(key=lambda p: _word_key(p[0]))
+    out.sort(key=lambda p: tuple_word_key(p[0]))
     return out
 
 
@@ -637,7 +637,7 @@ def obstruction_report_by_references(code: Code) -> topology.ObstructionReport:
     acyclic, is_collapsible_by_scan."""
     k = topology.simplicial_complex(code)
     entries = []
-    for smask in sorted(k.face_masks() - code.mask_set, key=_word_key):
+    for smask in sorted(k.face_masks() - code.mask_set, key=tuple_word_key):
         lk = topology.link(k, smask)
         betti = reduced_homology_by_ranks(lk)
         if any(betti.values()):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -433,3 +434,56 @@ def test_local_obs_goldens_with_warnings_as_errors():
     lines = c0.stdout.splitlines()
     assert (c0.returncode, c0.stderr, len(lines)) == (0, b"", 20)
     assert sum(line.endswith(b": no_obstruction") for line in lines) == 18
+
+
+# Twelve neurons, 4..9 trivial: every word above 9 is spelled in braces.
+WIDE = "[[1,2],[12],[1,2,12],[10,11],[3,10,12],[11],[]]"
+WIDE_ID = json.dumps({"domain": WIDE, "trunk_generators": [[i] for i in range(1, 13)]})
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["trunks", WIDE],
+     "none: {}\n{10,11}: {{10,11}}\n{1,2,12}: {{1,2,12}}\n{3,10,12}: {{3,10,12}}\n"
+     "{11}: {{10,11},{11}}\n12: {{1,2,12},12}\n{10}: {{3,10,12},{10,11}}\n"
+     "{12}: {{1,2,12},{3,10,12},{12}}\n0: {{1,2,12},{3,10,12},12,{10,11},{11},{12},0}\n"),
+    (["trunks", WIDE, "--sigma", "{10,12}"], "{{3,10,12}}\n"),
+    (["irreducible", WIDE],
+     "12: {{1,2,12},12}\n{10}: {{3,10,12},{10,11}}\n{11}: {{10,11},{11}}\n"
+     "{12}: {{1,2,12},{3,10,12},{12}}\n"),
+    (["ring", WIDE],
+     "x_1: {{1,2,12},12}\nx_2: {{1,2,12},12}\nx_3: {{3,10,12}}\n"
+     + "".join(f"x_{i}: {{}}\n" for i in range(4, 10))
+     + "x_10: {{3,10,12},{10,11}}\nx_11: {{10,11},{11}}\nx_12: {{1,2,12},{3,10,12},{12}}\n"),
+    (["ring", WIDE, "--sigma", "{10,12}"], "x_{10,12}: {{3,10,12}}\n"),
+    (["ring", WIDE, "--word", "{3,10,12}"], "rho_{3,10,12}: {{3,10,12}}\n"),
+    (["apply", WIDE_ID, "{1,2,12}"], "{1,2,12}\n"),
+    (["apply", WIDE_ID, "[3,10,12]"], "{3,10,12}\n"),
+], ids=["trunks", "trunks-sigma", "irreducible", "ring", "ring-sigma", "ring-word",
+        "apply", "apply-json-word"])
+def test_wide_code_goldens(capsys, argv, golden):
+    assert run(capsys, *argv) == (0, golden, "")
+
+
+def test_wide_code_local_obs_golden(capsys):
+    assert run(capsys, "local-obs", WIDE) == (1, (
+        "locally_good: no\nlocally_great: no\n"
+        "1: no_obstruction\n2: no_obstruction\n3: no_obstruction\n"
+        "{10}: obstruction_first_kind (H0=1)\n"
+        "{1,12}: no_obstruction\n{2,12}: no_obstruction\n{3,10}: no_obstruction\n"
+        "{3,12}: no_obstruction\n{10,12}: no_obstruction\n"), "")
+
+
+def test_long_collapse_searches_print_their_report_without_a_traceback():
+    # The cone over a 10-facet stacked 7-ball: 18 neurons, 10 words.  Its
+    # links' collapse searches run deeper than the default recursion limit;
+    # exit 1 is the report's own verdict (some link has homology), and the
+    # 2808 lines are the report printed with recursion allowed that deep.
+    words = json.dumps([[1, *range(j, j + 8)] for j in range(2, 12)], separators=(",", ":"))
+    proc = codecat("local-obs", words)
+    assert b"Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stderr) == (1, b"")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2808
+    assert lines[:3] == [b"locally_good: no", b"locally_great: no", b"0: no_obstruction"]
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "2b0dcc370f2637eddc5981c61bbd6b08e1222b6269c927347cd40c23a6bcc2ce")

@@ -462,12 +462,12 @@ def test_membership_walk_stops_at_target_size(monkeypatch):
 
 
 def key_faults(key, codes) -> list[str]:
-    """The codes whose key is not (m, words) of a relabelling of them: the
-    same m and word count, and the same canonical masks by the reference
-    search."""
+    """The codes whose key, a labelling cache key, does not name a
+    relabelling of them: the same m and word count, and the same canonical
+    masks by the reference search."""
     faults = []
     for code in codes:
-        m, words = key(code.n, code.mask_set)
+        m, words = decode_label_key(key(code.n, code.mask_set))
         if (m != code.n or len(words) != len(code)
                 or sorted(min_relabeling_by_swaps(list(words), m)[0])
                 != sorted(min_relabeling_by_swaps(list(code.mask_set), m)[0])):
@@ -483,7 +483,7 @@ def test_invariant_key_is_a_relabelling():
     assert key_faults(enumeration._invariant_key, codes) == []
 
     def word_sizes(m, masks):  # an invariant, but not a relabelling
-        return m, sorted(w.bit_count() for w in masks)
+        return enumeration._label_key(m, {(1 << w.bit_count()) - 1 for w in masks})
 
     assert len(key_faults(word_sizes, codes)) > len(codes) // 2
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 from unittest import mock
 
@@ -12,7 +13,7 @@ from codecat.topology import (SimplicialComplex, f2_reduced_homology,
                               is_collapsible, link)
 
 from helpers import (collapses_by_scan, free_pairs_by_scan, obstruction_report_by_references,
-                     random_codes, reduced_homology_by_ranks)
+                     random_codes, reduced_homology_by_ranks, tuple_word_key)
 
 
 def complex_from(words, n):
@@ -158,6 +159,15 @@ BACKTRACKING = complex_from([[1, 2, 3], [2, 3, 4], [4, 5]], 5)
 def test_collapsibility_needs_backtracking_sometimes():
     # greedy collapses can strand the spare edge, full search still succeeds
     assert is_collapsible(BACKTRACKING)
+
+
+def test_a_long_collapse_runs_under_the_default_recursion_limit():
+    # the stacked 8-ball, facets {j..j+8} for j = 1..12, reaches a point
+    # only after 1663 collapses, one search state deeper each
+    ball = complex_from([range(j, j + 9) for j in range(1, 13)], 20)
+    assert len(ball.face_masks()) == 3328
+    assert sys.getrecursionlimit() <= 1000
+    assert is_collapsible(ball)
 
 
 def test_collapsibility_state_budget():
@@ -307,7 +317,11 @@ def test_free_pairs_match_the_scan_on_every_search_state():
     for k in searched_complexes():
         _, memo = search_memo(k.face_masks(), collapses_by_scan)
         for state, _ in memo:
-            assert topology._free_pairs(state) == free_pairs_by_scan(state)
+            union = 0
+            for f in state:
+                union |= f
+            assert topology._free_pairs(state, union) == [
+                (tuple_word_key(t), t, f) for t, f in free_pairs_by_scan(state)]
         states += len(memo)
     assert states > 1000
 

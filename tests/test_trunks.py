@@ -13,6 +13,16 @@ C5 = parse_code("{12,23,1,3,0}")
 D5 = parse_code("{12,34,1,3,0}")
 
 
+def test_repr_spells_words_as_the_cli_does():
+    assert repr(trunk_of(C5, [2])) == "Trunk(Tk(2) = {12,23})"
+    assert repr(trunk_of(C5, [])) == "Trunk(Tk({}) = {12,23,1,3,0})"
+    assert repr(trunk_of(C5, [1, 2, 3])) == "Trunk(empty)"
+    # a neuron above 9 gets braces, so these two trunks print apart
+    wide = Code(12, [[1, 2], [12], [1, 2, 12]])
+    assert repr(trunk_of(wide, [12])) == "Trunk(Tk({12}) = {{1,2,12},{12}})"
+    assert repr(trunk_of(wide, [1, 2])) == "Trunk(Tk(12) = {{1,2,12},12})"
+
+
 def test_trunk_of_basic():
     t = trunk_of(C5, [2])
     assert t.members == {frozenset({1, 2}), frozenset({2, 3})}
