@@ -71,7 +71,8 @@ from .codes import (MAX_NEURONS, Code, _json_list, code_to_obj, format_code, par
 from .exceptions import DEFAULT_TRUNK_CAP, _check_cap
 from .morphisms import Morphism
 from .reduction import CanonicalForm, _min_relabeling, canonical_form
-from .trunks import Trunk, _bit_indices, _index_members, _trunk_family_masksets
+from .trunks import (_bit_indices, _generator, _index_trunks, _simple_index_masks,
+                     _trunk_family_masksets)
 
 # Part of every cache file's name: a new format or canonical engine gets a
 # new version, so entries of an older one are never read (nor overwritten).
@@ -311,13 +312,15 @@ def verify_image_membership(source: Code, target: Code,
     """A morphism out of source whose image is isomorphic to target, if one
     exists; None otherwise.  This is _cover with the reduced target alone
     left uncovered: the witness is the first node that covers it, in the
-    fixed enumeration order."""
+    fixed enumeration order.  Its trunks come from source's lattice, so they
+    are not checked again."""
     _check_cap(max_trunks, "max_trunks")
     target = canonical_form(target).code
-    words = source.masks
     for chosen in _cover(source, {_filter_key(target.n, target.mask_set): {target}}, {},
                          max_trunks):
-        return Morphism(source, tuple(Trunk(_index_members(words, t)) for t in chosen))
+        simple = _simple_index_masks(source)
+        pairs = [(_generator(simple, t), t) for t in chosen]
+        return Morphism._of_checked_trunks(source, _index_trunks(source.masks, pairs))
     return None
 
 

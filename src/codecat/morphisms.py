@@ -37,6 +37,17 @@ class Morphism:
             if t.member_masks and not is_trunk(self.domain, t.member_masks):
                 raise ValueError(f"{t!r} is not a trunk of the domain")
 
+    @classmethod
+    def _of_checked_trunks(cls, domain: Code, trunks: tuple[Trunk, ...]) -> "Morphism":
+        """The Morphism(domain, trunks) builds, checking no trunk again.
+
+        Only for a tuple of trunks of domain, such as its trunk lattice
+        gives; nothing here checks them."""
+        morphism = cls.__new__(cls)
+        object.__setattr__(morphism, "domain", domain)
+        object.__setattr__(morphism, "trunks", trunks)
+        return morphism
+
     @property
     def m(self) -> int:
         """Number of image neurons."""

@@ -22,12 +22,13 @@ from typing import NoReturn
 from .codes import Code, mask_members
 from .exceptions import DEFAULT_MAX_NODES, ResourceCapError, _check_cap
 from .morphisms import Morphism
-from .trunks import irreducible_trunks, simple_trunks, trunk_of
+from .trunks import (_bit_indices, _generator, _index_trunks, _irreducible_index_masks,
+                     _simple_index_masks)
 
 
 def trivial_neurons(code: Code) -> set[int]:
     """Neurons appearing in no codeword."""
-    return {i for i, t in simple_trunks(code) if not t.member_masks}
+    return {i for i, t in enumerate(_simple_index_masks(code), 1) if not t}
 
 
 def redundant_neurons(code: Code) -> list[tuple[int, frozenset[int]]]:
@@ -35,15 +36,24 @@ def redundant_neurons(code: Code) -> list[tuple[int, frozenset[int]]]:
     containing i, each with the canonical witness generator-minus-i.
 
     If any sigma avoiding i works then so does the generator of Tk(i) with i
-    removed, by maximality of the generator.
+    removed, by maximality of the generator.  On word-index masks, that
+    witness is the neurons j != i whose simple trunks contain Tk(i), and its
+    trunk is the intersection of their simple trunks, or the whole code when
+    there are none.
     """
+    simple = _simple_index_masks(code)
+    full = (1 << len(code.masks)) - 1
     out = []
-    for i, t in simple_trunks(code):
-        if not t.member_masks:
+    for i, t in enumerate(simple):
+        if not t:
             continue
-        witness = t.generator_mask & ~(1 << (i - 1))
-        if trunk_of(code, witness).member_masks == t.member_masks:
-            out.append((i, frozenset(mask_members(witness))))
+        meet, witness = full, 0
+        for j, s in enumerate(simple):
+            if j != i and s & t == t:
+                meet &= s
+                witness |= 1 << j
+        if meet == t:
+            out.append((i + 1, frozenset(mask_members(witness))))
     return out
 
 
@@ -70,18 +80,31 @@ def reduce_code(code: Code) -> ReductionResult:
     trunk (ordered by generator).  An already-reduced code comes back
     unchanged, so reducing is idempotent.
     """
-    trunks = irreducible_trunks(code)
-    already = len(trunks) == code.n  # is_reduced(code); keep the neuron order
+    simple = _simple_index_masks(code)
+    pairs = _irreducible_index_masks(code, simple)
+    already = len(pairs) == code.n  # is_reduced(code); keep the neuron order
     if already:
-        trunks = [t for _, t in simple_trunks(code)]
-    iso = Morphism(code, tuple(trunks))
-    origins = tuple(frozenset(mask_members(t.generator_mask)) for t in trunks)
-    return ReductionResult(code if already else iso.image(), iso, origins)
+        pairs = [(_generator(simple, t), t) for t in simple]
+    iso = Morphism._of_checked_trunks(code, _index_trunks(code.masks, pairs))
+    origins = tuple(frozenset(mask_members(g)) for g, _ in pairs)
+    return ReductionResult(code if already else _index_image(code, [t for _, t in pairs]),
+                           iso, origins)
+
+
+def _index_image(code: Code, trunks: list[int]) -> Code:
+    """The image of code under the morphism whose trunks are given as
+    word-index masks: word k goes to {j : bit k of trunks[j-1] is set}."""
+    images = [0] * len(code.masks)
+    for j, t in enumerate(trunks):
+        bit = 1 << j
+        for k in _bit_indices(t):
+            images[k] |= bit
+    return Code._of_checked_masks(len(trunks), set(images))
 
 
 def minimum_neuron_number(code: Code) -> int:
     """Fewest neurons among codes isomorphic to this one."""
-    return len(irreducible_trunks(code))
+    return len(_irreducible_index_masks(code))
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +344,8 @@ def canonical_form(code: Code, max_nodes: int | None = DEFAULT_MAX_NODES) -> Can
         _refuse(max_nodes)
     # reduce_code(code).reduced, without the Morphism and origins it also
     # builds: a code with n irreducible trunks is reduced, its own reduction.
-    trunks = irreducible_trunks(code)
-    red = code if len(trunks) == code.n else Morphism(code, tuple(trunks)).image()
+    trunks = [t for _, t in _irreducible_index_masks(code)]
+    red = code if len(trunks) == code.n else _index_image(code, trunks)
     masks, perm = _min_relabeling(red.masks, red.n, max_nodes)
     return CanonicalForm(Code._of_ordered_masks(red.n, masks), perm)
 

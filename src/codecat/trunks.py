@@ -9,12 +9,18 @@ those n + 1 sets, held as bitmasks of indices into code.masks, not of the |C|
 codewords.  A nonempty trunk is determined by its generator, the
 intersection of its members, which is the set of neurons whose simple trunks
 contain it.
+
+The library works on those word-index masks throughout and builds Trunk
+values only when it returns them.  A trunk built that way takes its
+generator from the lattice, through Trunk._of_lattice, and does not
+intersect its members again.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .codes import (Code, _display_key, _fmt_masks, _fmt_word, _word_key, mask_members,
                     word_mask)
@@ -43,6 +49,17 @@ class Trunk:
         elif self.generator_mask is not None:
             raise ValueError("the empty trunk has no generator")
 
+    @classmethod
+    def _of_lattice(cls, member_masks: frozenset[int], generator_mask: int) -> "Trunk":
+        """The Trunk(member_masks) builds, with generator_mask as its generator.
+
+        Only for a nonempty member set whose intersection is generator_mask,
+        as the trunk lattice gives it; nothing intersects the members."""
+        trunk = cls.__new__(cls)
+        object.__setattr__(trunk, "member_masks", member_masks)
+        object.__setattr__(trunk, "generator_mask", generator_mask)
+        return trunk
+
     @property
     def members(self) -> frozenset[frozenset[int]]:
         return frozenset(frozenset(mask_members(m)) for m in self.member_masks)
@@ -57,7 +74,12 @@ class Trunk:
         return len(self.member_masks)
 
     def __contains__(self, word) -> bool:
-        return word_mask(word) in self.member_masks
+        """Membership; malformed or out-of-range words are simply absent,
+        as in Code.contains."""
+        try:
+            return word_mask(word) in self.member_masks
+        except ValueError:
+            return False
 
     def sort_key(self):
         return (len(self.member_masks), sorted(map(_word_key, self.member_masks)))
@@ -144,7 +166,17 @@ def _trunk_family_masksets(code: Code, cap: int | None = None) -> dict[int, int]
     simple = _simple_index_masks(code)
     closed = _intersection_closure(simple + [(1 << len(code.masks)) - 1], cap)
     closed.discard(0)
-    return {sum(1 << i for i, s in enumerate(simple) if s & t == t): t for t in closed}
+    return {_generator(simple, t): t for t in closed}
+
+
+def _generator(simple: list[int], t: int) -> int:
+    """The generator of the nonempty trunk with word-index mask t, given the
+    simple trunks' index masks: the neurons whose simple trunks contain it."""
+    g = 0
+    for i, s in enumerate(simple):
+        if s & t == t:
+            g |= 1 << i
+    return g
 
 
 def _bit_indices(t: int) -> list[int]:
@@ -158,9 +190,25 @@ def _bit_indices(t: int) -> list[int]:
     return out
 
 
+# Maps the digits of bin() to selector bytes for itertools.compress.
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _low_bits_first(t: int) -> bytes:
+    """The binary digits of t as ASCII bytes, lowest bit first: byte k is
+    b"1" iff bit k of t is set."""
+    return bin(t).encode()[:1:-1]
+
+
 def _index_members(words: tuple[int, ...], t: int) -> frozenset[int]:
     """The word masks named by a bitmask t of indices into words."""
-    return frozenset(words[k] for k in _bit_indices(t))
+    return frozenset(compress(words, _low_bits_first(t).translate(_BIT_VALUES)))
+
+
+def _index_trunks(words: tuple[int, ...], pairs: Iterable[tuple[int, int]]) -> tuple[Trunk, ...]:
+    """The Trunk of each (generator mask, word-index mask) pair of a
+    nonempty trunk, its members read from words."""
+    return tuple([Trunk._of_lattice(_index_members(words, t), g) for g, t in pairs])
 
 
 def all_trunks(code: Code, max_trunks: int | None = None) -> list[Trunk]:
@@ -169,15 +217,19 @@ def all_trunks(code: Code, max_trunks: int | None = None) -> list[Trunk]:
 
     Raises ResourceCapError if the code has more than max_trunks trunks.
     code.masks is in word order, so a trunk's ascending word indices sort
-    like its sorted member words.
+    like its sorted member words.  Among trunks of one size, the list of
+    indices that is less has a 1 where the other has a 0 at the lowest
+    index where they differ, so it has the greater _low_bits_first bytes:
+    a descending sort on (-size, those bytes) gives the order.
     """
     _check_cap(max_trunks, "max_trunks")
     words = code.masks
-    indexed = [(_bit_indices(t), g)
-               for g, t in _trunk_family_masksets(code, max_trunks).items()]
-    indexed.sort(key=lambda e: (len(e[0]), e[0]))
-    return [Trunk(frozenset())] + [Trunk(frozenset(words[k] for k in idx), g)
-                                   for idx, g in indexed]
+    keyed = sorted([(-t.bit_count(), _low_bits_first(t), g)
+                    for g, t in _trunk_family_masksets(code, max_trunks).items()],
+                   reverse=True)
+    return [Trunk(frozenset())] + [
+        Trunk._of_lattice(frozenset(compress(words, bits.translate(_BIT_VALUES))), g)
+        for _, bits, g in keyed]
 
 
 def is_trunk(code: Code, subset: Iterable) -> bool:
@@ -198,9 +250,10 @@ def is_trunk(code: Code, subset: Iterable) -> bool:
     return all(m & gen != gen for m in code.mask_set - masks)
 
 
-def irreducible_trunks(code: Code) -> list[Trunk]:
-    """Nonempty proper trunks that are not intersections of strictly larger
-    trunks, ordered by generator (lexicographic on sorted members).
+def _irreducible_index_masks(code: Code, simple: list[int] | None = None) -> list[tuple[int, int]]:
+    """(generator mask, word-index mask) of each irreducible trunk, in the
+    order of irreducible_trunks; simple is _simple_index_masks(code), if the
+    caller holds it.
 
     No lattice is needed.  A trunk Tk(g) is the intersection of the simple
     trunks Tk(i), i in g; if each of them strictly contains Tk(g), it is an
@@ -210,9 +263,9 @@ def irreducible_trunks(code: Code) -> list[Trunk]:
     so Tk(i) is irreducible iff the whole code intersected with those simple
     trunks is not Tk(i).  That is O(n^2) tests on word-index masks.
     """
-    words = code.masks
-    full = (1 << len(words)) - 1
-    simple = _simple_index_masks(code)
+    if simple is None:
+        simple = _simple_index_masks(code)
+    full = (1 << len(code.masks)) - 1
     found = set()
     for t in simple:
         if not t or t == full or t in found:
@@ -223,6 +276,13 @@ def irreducible_trunks(code: Code) -> list[Trunk]:
                 meet &= s
         if meet != t:
             found.add(t)
-    out = [Trunk(_index_members(words, t)) for t in found]
-    out.sort(key=lambda tr: mask_members(tr.generator_mask))
-    return out
+    pairs = [(_generator(simple, t), t) for t in found]
+    pairs.sort(key=lambda p: mask_members(p[0]))
+    return pairs
+
+
+def irreducible_trunks(code: Code) -> list[Trunk]:
+    """Nonempty proper trunks that are not intersections of strictly larger
+    trunks, ordered by generator (lexicographic on sorted members).  See
+    _irreducible_index_masks."""
+    return list(_index_trunks(code.masks, _irreducible_index_masks(code)))

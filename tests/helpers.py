@@ -9,11 +9,13 @@ import sys
 from collections.abc import Collection
 from pathlib import Path
 
-from codecat import Code, Morphism, ResourceCapError, Trunk, canonical_form, topology
+from codecat import (Code, Morphism, ResourceCapError, Trunk, canonical_form, simple_trunks,
+                     topology, trunk_of)
 from codecat.codes import MAX_NEURONS, mask_members
 from codecat.enumeration import _canonical_of_reduced_masks, _index_pool, _walk
-from codecat.reduction import DEFAULT_MAX_NODES
-from codecat.trunks import _bit_indices, _index_members
+from codecat.reduction import DEFAULT_MAX_NODES, ReductionResult
+from codecat.trunks import (_bit_indices, _index_members, _simple_index_masks,
+                            _trunk_family_masksets)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -134,6 +136,70 @@ def irreducible_trunks_by_lattice(code: Code) -> list[Trunk]:
         if u != g and u in lattice:
             out.append(Trunk(frozenset(w for k, w in enumerate(code.masks) if t >> k & 1), g))
     out.sort(key=lambda tr: mask_members(tr.generator_mask))
+    return out
+
+
+def all_trunks_checked(code: Code) -> list[Trunk]:
+    """all_trunks with every Trunk built by the checked constructor, which
+    intersects its members to test the generator, and sorted by index
+    lists.  Reference for all_trunks, which builds each Trunk from the
+    lattice's generator and sorts by bytes."""
+    words = code.masks
+    indexed = [(_bit_indices(t), g) for g, t in _trunk_family_masksets(code).items()]
+    indexed.sort(key=lambda e: (len(e[0]), e[0]))
+    return [Trunk(frozenset())] + [Trunk(frozenset(words[k] for k in idx), g)
+                                   for idx, g in indexed]
+
+
+def irreducible_trunks_checked(code: Code) -> list[Trunk]:
+    """The simple trunks that the whole code and the simple trunks strictly
+    containing them do not meet to, each built by the checked constructor,
+    which finds its generator by intersecting its members.  Reference for
+    irreducible_trunks, which reads the generators off the simple trunks."""
+    words = code.masks
+    full = (1 << len(words)) - 1
+    simple = _simple_index_masks(code)
+    found = set()
+    for t in simple:
+        if not t or t == full or t in found:
+            continue
+        meet = full
+        for s in simple:
+            if s & t == t and s != t:
+                meet &= s
+        if meet != t:
+            found.add(t)
+    out = [Trunk(frozenset(words[k] for k in _bit_indices(t))) for t in found]
+    out.sort(key=lambda tr: mask_members(tr.generator_mask))
+    return out
+
+
+def reduce_code_checked(code: Code) -> ReductionResult:
+    """reduce_code through the checked Morphism constructor, which tests
+    every trunk with is_trunk, and Morphism.image.  Reference for
+    reduce_code, which builds its morphism and image from word-index masks;
+    a reduced code keeps its simple trunks in neuron order."""
+    trunks = irreducible_trunks_checked(code)
+    already = len(trunks) == code.n
+    if already:
+        trunks = [t for _, t in simple_trunks(code)]
+    iso = Morphism(code, tuple(trunks))
+    origins = tuple(frozenset(mask_members(t.generator_mask)) for t in trunks)
+    return ReductionResult(code if already else iso.image(), iso, origins)
+
+
+def redundant_neurons_by_trunk_of(code: Code) -> list[tuple[int, frozenset[int]]]:
+    """Each nontrivial neuron i whose simple trunk is the trunk of its
+    generator minus i, with that witness, by building both trunks with
+    trunk_of.  Reference for redundant_neurons, which works on word-index
+    masks."""
+    out = []
+    for i, t in simple_trunks(code):
+        if not t.member_masks:
+            continue
+        witness = t.generator_mask & ~(1 << (i - 1))
+        if trunk_of(code, witness).member_masks == t.member_masks:
+            out.append((i, frozenset(mask_members(witness))))
     return out
 
 
