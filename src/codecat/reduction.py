@@ -22,8 +22,8 @@ from typing import NoReturn
 from .codes import Code, mask_members
 from .exceptions import DEFAULT_MAX_NODES, ResourceCapError, _check_cap
 from .morphisms import Morphism
-from .trunks import (_bit_indices, _generator, _index_trunks, _irreducible_index_masks,
-                     _simple_index_masks)
+from .trunks import (_bit_indices, _irreducible_index_masks, _simple_index_masks,
+                     irreducible_trunks)
 
 
 def trivial_neurons(code: Code) -> set[int]:
@@ -80,15 +80,17 @@ def reduce_code(code: Code) -> ReductionResult:
     trunk (ordered by generator).  An already-reduced code comes back
     unchanged, so reducing is idempotent.
     """
-    simple = _simple_index_masks(code)
-    pairs = _irreducible_index_masks(code, simple)
-    already = len(pairs) == code.n  # is_reduced(code); keep the neuron order
+    trunks = irreducible_trunks(code)
+    already = len(trunks) == code.n  # is_reduced(code); keep the neuron order
     if already:
-        pairs = [(_generator(simple, t), t) for t in simple]
-    iso = Morphism._of_checked_trunks(code, _index_trunks(code.masks, pairs))
-    origins = tuple(frozenset(mask_members(g)) for g, _ in pairs)
-    return ReductionResult(code if already else _index_image(code, [t for _, t in pairs]),
-                           iso, origins)
+        # The irreducible trunks are then the n simple trunks.  Neuron i is
+        # in the generator of every trunk inside Tk(i) and of no other, so
+        # Tk(i) is the largest trunk whose generator holds i.
+        trunks = [max((t for t in trunks if t.generator_mask >> i & 1), key=len)
+                  for i in range(code.n)]
+    iso = Morphism._of_checked_trunks(code, tuple(trunks))
+    origins = tuple(t.generator for t in trunks)
+    return ReductionResult(code if already else iso.image(), iso, origins)
 
 
 def _index_image(code: Code, trunks: list[int]) -> Code:

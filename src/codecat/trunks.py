@@ -179,30 +179,24 @@ def _generator(simple: list[int], t: int) -> int:
     return g
 
 
-def _bit_indices(t: int) -> list[int]:
-    """The positions of the set bits of t, ascending."""
-    bits = bin(t)[:1:-1]
-    out = []
-    k = bits.find("1")
-    while k >= 0:
-        out.append(k)
-        k = bits.find("1", k + 1)
-    return out
-
-
 # Maps the digits of bin() to selector bytes for itertools.compress.
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
-def _low_bits_first(t: int) -> bytes:
-    """The binary digits of t as ASCII bytes, lowest bit first: byte k is
-    b"1" iff bit k of t is set."""
-    return bin(t).encode()[:1:-1]
+def _bit_selector(t: int) -> bytes:
+    """The bits of t, lowest first, as bytes for itertools.compress: byte k
+    is 1 iff bit k of t is set, for k < max(t.bit_length(), 1)."""
+    return bin(t).encode()[:1:-1].translate(_BIT_VALUES)
+
+
+def _bit_indices(t: int) -> list[int]:
+    """The positions of the set bits of t, ascending."""
+    return list(compress(range(t.bit_length()), _bit_selector(t)))
 
 
 def _index_members(words: tuple[int, ...], t: int) -> frozenset[int]:
     """The word masks named by a bitmask t of indices into words."""
-    return frozenset(compress(words, _low_bits_first(t).translate(_BIT_VALUES)))
+    return frozenset(compress(words, _bit_selector(t)))
 
 
 def _index_trunks(words: tuple[int, ...], pairs: Iterable[tuple[int, int]]) -> tuple[Trunk, ...]:
@@ -219,17 +213,13 @@ def all_trunks(code: Code, max_trunks: int | None = None) -> list[Trunk]:
     code.masks is in word order, so a trunk's ascending word indices sort
     like its sorted member words.  Among trunks of one size, the list of
     indices that is less has a 1 where the other has a 0 at the lowest
-    index where they differ, so it has the greater _low_bits_first bytes:
-    a descending sort on (-size, those bytes) gives the order.
+    index where they differ, so it has the greater _bit_selector bytes: a
+    descending sort on (-size, those bytes) gives the order.
     """
     _check_cap(max_trunks, "max_trunks")
-    words = code.masks
-    keyed = sorted([(-t.bit_count(), _low_bits_first(t), g)
-                    for g, t in _trunk_family_masksets(code, max_trunks).items()],
-                   reverse=True)
-    return [Trunk(frozenset())] + [
-        Trunk._of_lattice(frozenset(compress(words, bits.translate(_BIT_VALUES))), g)
-        for _, bits, g in keyed]
+    pairs = sorted(_trunk_family_masksets(code, max_trunks).items(),
+                   key=lambda p: (-p[1].bit_count(), _bit_selector(p[1])), reverse=True)
+    return [Trunk(frozenset())] + list(_index_trunks(code.masks, pairs))
 
 
 def is_trunk(code: Code, subset: Iterable) -> bool:

@@ -14,8 +14,7 @@ from codecat import (Code, Morphism, ResourceCapError, Trunk, canonical_form, si
 from codecat.codes import MAX_NEURONS, mask_members
 from codecat.enumeration import _canonical_of_reduced_masks, _index_pool, _walk
 from codecat.reduction import DEFAULT_MAX_NODES, ReductionResult
-from codecat.trunks import (_bit_indices, _index_members, _simple_index_masks,
-                            _trunk_family_masksets)
+from codecat.trunks import _bit_indices, _index_members, _trunk_family_masksets
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -151,35 +150,13 @@ def all_trunks_checked(code: Code) -> list[Trunk]:
                                    for idx, g in indexed]
 
 
-def irreducible_trunks_checked(code: Code) -> list[Trunk]:
-    """The simple trunks that the whole code and the simple trunks strictly
-    containing them do not meet to, each built by the checked constructor,
-    which finds its generator by intersecting its members.  Reference for
-    irreducible_trunks, which reads the generators off the simple trunks."""
-    words = code.masks
-    full = (1 << len(words)) - 1
-    simple = _simple_index_masks(code)
-    found = set()
-    for t in simple:
-        if not t or t == full or t in found:
-            continue
-        meet = full
-        for s in simple:
-            if s & t == t and s != t:
-                meet &= s
-        if meet != t:
-            found.add(t)
-    out = [Trunk(frozenset(words[k] for k in _bit_indices(t))) for t in found]
-    out.sort(key=lambda tr: mask_members(tr.generator_mask))
-    return out
-
-
 def reduce_code_checked(code: Code) -> ReductionResult:
-    """reduce_code through the checked Morphism constructor, which tests
-    every trunk with is_trunk, and Morphism.image.  Reference for
-    reduce_code, which builds its morphism and image from word-index masks;
-    a reduced code keeps its simple trunks in neuron order."""
-    trunks = irreducible_trunks_checked(code)
+    """reduce_code on the irreducible trunks found on the whole lattice,
+    through the checked Morphism constructor, which tests every trunk with
+    is_trunk; a reduced code keeps its simple trunks, built by trunk_of, in
+    neuron order.  Reference for reduce_code, which skips the rechecks and
+    puts the irreducible trunks of a reduced code back in neuron order."""
+    trunks = irreducible_trunks_by_lattice(code)
     already = len(trunks) == code.n
     if already:
         trunks = [t for _, t in simple_trunks(code)]

@@ -15,7 +15,7 @@ from codecat.reduction import _min_relabeling
 from codecat.trunks import trunk_to_obj
 
 from helpers import (all_trunks_checked, cycle_code, edge_codes, hollow_triangles,
-                     irreducible_trunks_checked, membership_by_full_walk, random_codes,
+                     irreducible_trunks_by_lattice, membership_by_full_walk, random_codes,
                      reduce_code_checked, redundant_neurons_by_trunk_of)
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -75,7 +75,7 @@ def assert_same_reduction(code: Code) -> None:
     # The checked Morphism accepts the trunks, and gives the same image.
     assert Morphism(code, got.iso.trunks) == got.iso
     assert got.iso.image() == want.iso.image()
-    assert minimum_neuron_number(code) == len(irreducible_trunks_checked(code))
+    assert minimum_neuron_number(code) == len(irreducible_trunks_by_lattice(code))
 
 
 def assert_same_neurons(code: Code) -> None:
@@ -86,7 +86,7 @@ def assert_same_neurons(code: Code) -> None:
 @pytest.mark.parametrize("code", CORPUS, ids=IDS)
 def test_trunks_match_checked_references(code):
     assert_same_trunks(all_trunks(code), all_trunks_checked(code))
-    assert_same_trunks(irreducible_trunks(code), irreducible_trunks_checked(code))
+    assert_same_trunks(irreducible_trunks(code), irreducible_trunks_by_lattice(code))
 
 
 @pytest.mark.parametrize("code", CORPUS, ids=IDS)
@@ -127,7 +127,7 @@ def codes(draw):
 @hypothesis.given(codes())
 def test_drawn_codes_match_checked_references(code):
     assert_same_trunks(all_trunks(code), all_trunks_checked(code))
-    assert_same_trunks(irreducible_trunks(code), irreducible_trunks_checked(code))
+    assert_same_trunks(irreducible_trunks(code), irreducible_trunks_by_lattice(code))
     assert_same_reduction(code)
     assert_same_neurons(code)
 
