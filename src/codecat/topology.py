@@ -17,13 +17,20 @@ sorted list.  The list is the one a full listing gives, and it is built
 after the state's memo lookup and budget charge, so the search visits the
 same states in the same order and refuses at the same point.
 
-A complex whose facets share a vertex is a cone, hence contractible, so its
-homology needs no boundary rank.  A link with one nonempty facet is a
-simplex, and its entry lists no face at all.  A complex lists its faces once
-and keeps them, so a link's homology and its collapse search share one list.
-A cone link collapses to its apex, and one with F faces where 2**F is within
-the cap is recorded collapsible without the search, which visits at most
-2**F states and so could not refuse it.
+The facets of the link of sigma are read off the complex's facets: they are
+the F - sigma over the facets F containing sigma, and these form an
+antichain with no maximality pass, since F1 - sigma within F2 - sigma gives
+F1 within F2, so F1 = F2.  A complex whose facets share a vertex is a cone,
+hence contractible, so its homology needs no boundary rank.  A link with one
+nonempty facet is a simplex, and its entry is built from that facet alone,
+without homology, a collapse search or a face list.  A complex lists its
+faces once and keeps them, so a link's homology and its collapse search
+share one list.  A cone link collapses to its apex, and one with F faces
+where 2**F is within the cap is recorded collapsible without the search,
+which visits at most 2**F states and so could not refuse it.  A downward-
+closed state on j vertices is a simplex only with 2**j faces, so a state
+whose face count is not a power of two is no simplex, found without looking
+for its top face.
 """
 
 from __future__ import annotations
@@ -73,14 +80,17 @@ class SimplicialComplex:
         """Every face, the empty face included (for a nonvoid complex).
 
         Listed on the first call that the cap lets finish and kept on the
-        complex; every call refuses when there are more than its own cap.
-        None removes the cap."""
+        complex; every call refuses when there are more than its own cap,
+        and one facet with more subsets than the cap, all of them faces, is
+        refused before they are listed.  None removes the cap."""
         _check_cap(cap, "face cap")
         limit = float("inf") if cap is None else cap
         faces = self.__dict__.get("_faces")
         if faces is None:
             found: set[int] = set()
             for f in self.facets:
+                if 1 << f.bit_count() > limit:  # each subset of f is a face
+                    raise ResourceCapError(f"complex has more than {cap} faces")
                 sub = f
                 while True:
                     found.add(sub)
@@ -120,17 +130,25 @@ def simplicial_complex(code: Code) -> SimplicialComplex:
 def link(k: SimplicialComplex, sigma: Iterable[int]) -> SimplicialComplex:
     """Faces disjoint from sigma whose union with sigma is a face.
 
-    The facets are the maximal F - sigma over facets F containing sigma.
+    The facets are the F - sigma over facets F containing sigma.
     link(k, empty) is k itself.
     """
     smask = word_mask(sigma, k.n)
     if not k.has_face(smask):
         raise ValueError(f"{set(mask_members(smask))} is not a face of the complex")
-    candidates = {f & ~smask for f in k.facets if f & smask == smask}
-    return SimplicialComplex.from_masks(k.n, candidates)
+    return SimplicialComplex(k.n, _link_facets(k, smask))
+
+
+def _link_facets(k: SimplicialComplex, smask: int) -> frozenset[int]:
+    """The facets of the link of the face smask, an antichain as they stand
+    (see the module docstring)."""
+    return frozenset(f & ~smask for f in k.facets if f & smask == smask)
 
 
 def _is_simplex(faces: frozenset[int]) -> bool:
+    # downward closed on j vertices, a simplex has exactly 2**j faces
+    if len(faces) & (len(faces) - 1):
+        return False
     top = max(faces, key=int.bit_count)
     return len(faces) == 1 << top.bit_count() and top.bit_count() >= 1
 
@@ -350,15 +368,23 @@ def local_obstruction_report(code: Code,
     missing = sorted(k.face_masks(cap) - code.mask_set, key=_word_key)
     entries = []
     for smask in missing:
-        lk = link(k, smask)
-        # A link with one nonempty facet is a simplex: acyclic and
-        # collapsible, so none of its faces is listed.  No cap could refuse
-        # it, as it has no more faces than k, whose faces were listed within
-        # the cap.  A lone empty facet would be {empty}, with a reduced
-        # H_-1; only a facet of k, which is a word, has that link.
-        simplex = len(lk.facets) == 1 and 0 not in lk.facets
-        betti = (dict.fromkeys(range(-1, lk.dim() + 1), 0) if simplex
-                 else f2_reduced_homology(lk, cap))
+        sigma = frozenset(mask_members(smask))
+        facets = _link_facets(k, smask)  # smask is a face: no re-check
+        if len(facets) == 1 and 0 not in facets:
+            # A link with one nonempty facet T is a simplex: acyclic and
+            # collapsible, so none of its faces is listed.  No cap could
+            # refuse it, as it has no more faces than k, whose faces were
+            # listed within the cap.  A lone empty facet would be {empty},
+            # with a reduced H_-1; only a facet of k, which is a word, has
+            # that link.
+            (top,) = facets
+            entries.append(ObstructionEntry(
+                sigma, (frozenset(mask_members(top)),),
+                tuple((d, 0) for d in range(-1, top.bit_count())),
+                True, "no_obstruction"))
+            continue
+        lk = SimplicialComplex(k.n, facets)
+        betti = f2_reduced_homology(lk, cap)
         if any(betti.values()):
             # nonzero homology rules collapsibility out
             coll, verdict = False, "obstruction_first_kind"
@@ -366,16 +392,15 @@ def local_obstruction_report(code: Code,
             try:
                 # A cone collapses to its apex, and with 2**F <= cap the
                 # search, at most 2**F states, could not have refused.
-                coll = (simplex
-                        or (_intersect_all(lk.facets)
-                            and (cap is None or 1 << len(lk.face_masks(cap)) <= cap))
+                coll = ((_intersect_all(facets)
+                         and (cap is None or 1 << len(lk.face_masks(cap)) <= cap))
                         or is_collapsible(lk, cap))
             except ResourceCapError:
                 coll = None
             verdict = {True: "no_obstruction", None: "contractibility_unknown",
                        False: "obstruction_second_kind_only"}[coll]
         entries.append(ObstructionEntry(
-            sigma=frozenset(mask_members(smask)),
+            sigma=sigma,
             link_facets=lk.facet_words,
             betti=tuple(sorted(betti.items())),
             collapsible=coll,

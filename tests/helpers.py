@@ -674,14 +674,23 @@ def reduced_homology_by_ranks(k: topology.SimplicialComplex,
             for d in range(-1, top + 1)}
 
 
+def link_by_maximal_candidates(k: topology.SimplicialComplex,
+                               smask: int) -> topology.SimplicialComplex:
+    """The link of the face smask: F - smask over the facets F containing it,
+    passed through from_masks's maximality filter.  Reference for
+    topology.link, which reads the facets off without that filter."""
+    return topology.SimplicialComplex.from_masks(
+        k.n, {f & ~smask for f in k.facets if f & smask == smask})
+
+
 def obstruction_report_by_references(code: Code) -> topology.ObstructionReport:
     """local_obstruction_report spelled out without its shortcuts: every
-    link, a simplex too, goes through reduced_homology_by_ranks and, when
-    acyclic, is_collapsible_by_scan."""
+    link, built by link_by_maximal_candidates, a simplex too, goes through
+    reduced_homology_by_ranks and, when acyclic, is_collapsible_by_scan."""
     k = topology.simplicial_complex(code)
     entries = []
     for smask in sorted(k.face_masks() - code.mask_set, key=tuple_word_key):
-        lk = topology.link(k, smask)
+        lk = link_by_maximal_candidates(k, smask)
         betti = reduced_homology_by_ranks(lk)
         if any(betti.values()):
             coll, verdict = False, "obstruction_first_kind"

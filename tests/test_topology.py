@@ -1,5 +1,7 @@
+import hashlib
 import random
 import sys
+import tracemalloc
 from itertools import combinations
 from unittest import mock
 
@@ -12,7 +14,8 @@ from codecat.codes import word_mask
 from codecat.topology import (SimplicialComplex, f2_reduced_homology,
                               is_collapsible, link)
 
-from helpers import (collapses_by_scan, free_pairs_by_scan, obstruction_report_by_references,
+from helpers import (collapses_by_scan, cycle_code, free_pairs_by_scan, hollow_triangles,
+                     link_by_maximal_candidates, obstruction_report_by_references,
                      random_codes, reduced_homology_by_ranks, tuple_word_key)
 
 
@@ -111,6 +114,24 @@ def test_face_cap_refusal():
     assert len(big.face_masks(cap=1 << 21)) == 1 << 21
 
 
+def test_a_facet_over_the_cap_is_refused_before_its_faces_are_listed():
+    # every subset of a facet is a face, so a simplex on 21 to 64 vertices
+    # is refused from its facet alone, not after 2**20 + 1 faces
+    for n in (21, 64):
+        k = SimplicialComplex(n, frozenset({(1 << n) - 1}))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError, match=r"^complex has more than 1048576 faces$"):
+                k.face_masks()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20 and "_faces" not in k.__dict__
+    assert len(TRIANGLE.face_masks(cap=8)) == 8  # 2**3 subsets fit a cap of 8
+    with pytest.raises(ResourceCapError, match="more than 7 faces"):
+        complex_from([[1, 2, 3]], 3).face_masks(cap=7)
+
+
 @pytest.mark.parametrize("n", [-1, True, False, 2.0, "3", None])
 def test_vertex_count_must_be_a_non_negative_int(n):
     for build in (lambda: SimplicialComplex.from_faces(n, [[]]),
@@ -140,6 +161,24 @@ def test_link_of_edge_in_solid_triangle():
 def test_link_requires_a_face():
     with pytest.raises(ValueError):
         link(HOLLOW, [1, 2, 3])
+
+
+def test_links_match_the_maximal_candidates_and_refuse_non_faces():
+    # link reads its facets off the complex without a maximality filter
+    codes = ([hollow_triangles(j, v) for j in (1, 2, 3) for v in (False, True)]
+             + [cycle_code(n) for n in (3, 4, 5, 8)])
+    links = refused = 0
+    for k in seeded_complexes() + [simplicial_complex(c) for c in codes]:
+        faces = k.face_masks()
+        for smask in range(1 << k.n):
+            if smask in faces:
+                assert link(k, smask) == link_by_maximal_candidates(k, smask)
+                links += 1
+            else:
+                with pytest.raises(ValueError, match="is not a face of the complex"):
+                    link(k, smask)
+                refused += 1
+    assert links > 2000 and refused > 2000
 
 
 def test_collapsibility_goldens():
@@ -324,6 +363,33 @@ def test_free_pairs_match_the_scan_on_every_search_state():
                 (tuple_word_key(t), t, f) for t, f in free_pairs_by_scan(state)]
         states += len(memo)
     assert states > 1000
+
+
+def test_simplex_test_agrees_with_one_nonempty_facet_on_every_search_state(monkeypatch):
+    # _is_simplex answers False from a face count that is no power of two
+    # before it looks for the top face
+    seen: dict[tuple[bool, bool], int] = {}
+    states = []
+    real = topology._is_simplex
+
+    def recording(faces):
+        states.append(faces)
+        return real(faces)
+
+    monkeypatch.setattr(topology, "_is_simplex", recording)
+    for k in searched_complexes():
+        states.clear()
+        try:
+            topology._collapses_to_point(k.face_masks(), {}, [300])
+        except ResourceCapError:
+            pass
+        for state in states:
+            facets = [f for f in state if not any(g != f and g & f == f for g in state)]
+            want = len(facets) == 1 and facets[0] != 0
+            assert real(state) is want
+            key = (want, not len(state) & (len(state) - 1))
+            seen[key] = seen.get(key, 0) + 1
+    assert seen == {(True, True): 87, (False, True): 23, (False, False): 1476}
 
 
 def test_collapse_search_visits_the_states_of_the_scan_search():
@@ -511,3 +577,50 @@ def test_cone_shortcut_matches_the_search_on_seeded_codes(monkeypatch):
                  and link(k, e.sigma).facets not in searched]
         skipped += len(cones)
     assert skipped > 100
+
+
+REPORT_CAPS = (None, 4, 16, 40, 100, 1000, 1 << 20)
+
+
+def hat_with_leaves(leaves: int) -> SimplicialComplex:
+    """The dunce hat with `leaves` edges hanging from its vertex 1: acyclic
+    and not collapsible, and the collapse search sheds the edges in each of
+    2**leaves ways before it gives up."""
+    dh = dunce_hat()
+    hanging = {1 | 1 << (dh.n + i) for i in range(leaves)}
+    return SimplicialComplex.from_masks(dh.n + leaves, set(dh.facets) | hanging)
+
+
+def digested_codes() -> list[Code]:
+    """Seeded codes on n = 0..9 neurons, and codes on the dunce hat with and
+    without hanging edges, whose facets alone or whose nonempty faces are
+    the words."""
+    rng = random.Random(2719)
+    codes = [Code(n, rng.sample(range(1 << n), rng.randint(1, min(12, 1 << n))))
+             for n in range(10) for _ in range(30)]
+    for k in (dunce_hat(), hat_with_leaves(12)):
+        codes += [Code(k.n, k.facets), Code(k.n, k.face_masks() - {0})]
+    return codes
+
+
+def test_reports_under_every_cap_match_their_pinned_digest():
+    # every entry, locally_good, locally_great and refusal message of the
+    # reports under seven caps, hashed; the counts show that each verdict
+    # and refusals are reached
+    h = hashlib.sha256()
+    seen: dict[str, int] = {}
+    for code in digested_codes():
+        for cap in REPORT_CAPS:
+            try:
+                r = local_obstruction_report(code, cap)
+            except ResourceCapError as e:
+                h.update(f"refused: {e}\n".encode())
+                seen["refused"] = seen.get("refused", 0) + 1
+                continue
+            h.update(repr((r.entries, r.locally_good, r.locally_great)).encode() + b"\n")
+            for e in r.entries:
+                seen[e.verdict] = seen.get(e.verdict, 0) + 1
+    assert seen == {"no_obstruction": 32380, "obstruction_first_kind": 3304,
+                    "obstruction_second_kind_only": 12, "contractibility_unknown": 2,
+                    "refused": 451}
+    assert h.hexdigest() == "c22cf70abbdf1e703eea7e5c8cc055068aa292bd38daa55a692b6764a1b778f7"
