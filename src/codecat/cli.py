@@ -82,10 +82,26 @@ def _emit_code(code: Code, as_json: bool) -> None:
         print(_code_str(code))
 
 
-def _print_morphism(m) -> None:
-    for j, t in enumerate(m.trunks, start=1):
-        gen = "none" if t.generator_mask is None else _fmt_word(t.generator)
-        print(f"{j}: {gen}")
+def _fmt_generator(t) -> str:
+    return "none" if t.generator_mask is None else _fmt_word(t.generator)
+
+
+def _print_trunks(ts, as_json: bool) -> None:
+    from .trunks import trunk_to_obj
+    if as_json:
+        print(json.dumps([trunk_to_obj(t) for t in ts]))
+    else:
+        for t in ts:
+            print(f"{_fmt_generator(t)}: {_fmt_masks(t.member_masks)}")
+
+
+def _print_morphism(m, as_json: bool) -> None:
+    from .morphisms import morphism_to_obj
+    if as_json:
+        print(json.dumps(morphism_to_obj(m)))
+    else:
+        for j, t in enumerate(m.trunks, start=1):
+            print(f"{j}: {_fmt_generator(t)}")
 
 
 def _bool_result(value: bool, as_json: bool, key: str) -> int:
@@ -109,29 +125,15 @@ def _cmd_trunks(args) -> int:
     code = parse_code(args.code)
     if args.sigma is not None:
         t = trunk_of(code, _parse_word(args.sigma))
-        if args.json:
-            print(json.dumps(trunk_to_obj(t)))
-        else:
-            print(_fmt_masks(t.member_masks))
+        print(json.dumps(trunk_to_obj(t)) if args.json else _fmt_masks(t.member_masks))
         return 0
-    ts = all_trunks(code, _max_trunks(args))
-    if args.json:
-        print(json.dumps([trunk_to_obj(t) for t in ts]))
-        return 0
-    for t in ts:
-        gen = "none" if t.generator_mask is None else _fmt_word(t.generator)
-        print(f"{gen}: {_fmt_masks(t.member_masks)}")
+    _print_trunks(all_trunks(code, _max_trunks(args)), args.json)
     return 0
 
 
 def _cmd_irreducible(args) -> int:
-    from .trunks import irreducible_trunks, trunk_to_obj
-    ts = irreducible_trunks(parse_code(args.code))
-    if args.json:
-        print(json.dumps([trunk_to_obj(t) for t in ts]))
-        return 0
-    for t in ts:
-        print(f"{_fmt_word(t.generator)}: {_fmt_masks(t.member_masks)}")
+    from .trunks import irreducible_trunks
+    _print_trunks(irreducible_trunks(parse_code(args.code)), args.json)
     return 0
 
 
@@ -189,17 +191,14 @@ def _cmd_is_morphism(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    from .morphisms import decompose, morphism_to_obj
+    from .morphisms import decompose
     f = _load_map(args.map)
     try:
         m = decompose(f)
     except ValueError:
         print("not a morphism")
         return 1
-    if args.json:
-        print(json.dumps(morphism_to_obj(m)))
-    else:
-        _print_morphism(m)
+    _print_morphism(m, args.json)
     return 0
 
 
@@ -282,17 +281,13 @@ def _cmd_diff_images(args) -> int:
 
 def _cmd_member(args) -> int:
     from .enumeration import verify_image_membership
-    from .morphisms import morphism_to_obj
     witness = verify_image_membership(parse_code(args.source),
                                       parse_code(args.target),
                                       max_trunks=_max_trunks(args))
     if witness is None:
         print("null" if args.json else "none")
         return 1
-    if args.json:
-        print(json.dumps(morphism_to_obj(witness)))
-    else:
-        _print_morphism(witness)
+    _print_morphism(witness, args.json)
     return 0
 
 
@@ -326,26 +321,19 @@ def _cmd_ring(args) -> int:
     from .neural_ring import coordinate, evaluate_monomial, indicator
     code = parse_code(args.code)
     if args.sigma is not None:
-        el = evaluate_monomial(code, _parse_word(args.sigma))
-        label = f"x_{_fmt_word(_parse_word(args.sigma))}"
+        word = _parse_word(args.sigma)
+        rows = [(f"x_{_fmt_word(word)}", evaluate_monomial(code, word))]
     elif args.word is not None:
-        el = indicator(code, _parse_word(args.word))
-        label = f"rho_{_fmt_word(_parse_word(args.word))}"
+        word = _parse_word(args.word)
+        rows = [(f"rho_{_fmt_word(word)}", indicator(code, word))]
     else:
         rows = [(f"x_{i}", coordinate(code, i)) for i in range(1, code.n + 1)]
-        if args.json:
-            print(json.dumps({name: [sorted(mask_members(m))
-                                     for m in sorted(el.support)]
-                              for name, el in rows}))
-        else:
-            for name, el in rows:
-                print(f"{name}: {_fmt_masks(el.support)}")
-        return 0
     if args.json:
-        print(json.dumps({label: [sorted(mask_members(m))
-                                  for m in sorted(el.support)]}))
+        print(json.dumps({name: [sorted(mask_members(m)) for m in sorted(el.support)]
+                          for name, el in rows}))
     else:
-        print(f"{label}: {_fmt_masks(el.support)}")
+        for name, el in rows:
+            print(f"{name}: {_fmt_masks(el.support)}")
     return 0
 
 

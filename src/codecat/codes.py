@@ -299,11 +299,6 @@ def _fmt_masks(masks) -> str:
     return "{" + ",".join(_fmt_word(mask_members(m)) for m in words) + "}"
 
 
-def _display_masks(code: Code) -> list[int]:
-    # _display_key is a total order, so the word set needs no sort before it.
-    return sorted(code.mask_set, key=_display_key)
-
-
 def _needs_prefix(code: Code) -> bool:
     return max(code.mask_set, default=0).bit_length() != code.n
 
@@ -320,9 +315,7 @@ def format_code(code: Code, style: str = "compact") -> str:
     if not code.mask_set:
         return prefix + "[]"
     if style == "json":
-        body = json.dumps([list(mask_members(m)) for m in _display_masks(code)],
-                          separators=(",", ":"))
-        return prefix + body
+        return prefix + json.dumps(code_to_obj(code)["words"], separators=(",", ":"))
     if code.n > 9:
         raise ValueError(f"compact style requires n <= 9, got n={code.n}")
     return prefix + _fmt_masks(code.mask_set)
@@ -330,7 +323,9 @@ def format_code(code: Code, style: str = "compact") -> str:
 
 def code_to_obj(code: Code) -> dict:
     """JSON-ready object form; parse_code accepts it and its json.dumps output."""
-    return {"n": code.n, "words": [list(mask_members(m)) for m in _display_masks(code)]}
+    # _display_key is a total order, so the word set needs no sort before it.
+    return {"n": code.n,
+            "words": [list(mask_members(m)) for m in sorted(code.mask_set, key=_display_key)]}
 
 
 def _code_str(code: Code) -> str:

@@ -22,8 +22,8 @@ from typing import NoReturn
 from .codes import Code, mask_members
 from .exceptions import DEFAULT_MAX_NODES, ResourceCapError, _check_cap
 from .morphisms import Morphism
-from .trunks import (_bit_indices, _irreducible_index_masks, _simple_index_masks,
-                     irreducible_trunks)
+from .trunks import (_bit_indices, _generator, _irreducible_index_masks,
+                     _simple_index_masks, irreducible_trunks)
 
 
 def trivial_neurons(code: Code) -> set[int]:
@@ -36,25 +36,17 @@ def redundant_neurons(code: Code) -> list[tuple[int, frozenset[int]]]:
     containing i, each with the canonical witness generator-minus-i.
 
     If any sigma avoiding i works then so does the generator of Tk(i) with i
-    removed, by maximality of the generator.  On word-index masks, that
-    witness is the neurons j != i whose simple trunks contain Tk(i), and its
-    trunk is the intersection of their simple trunks, or the whole code when
-    there are none.
+    removed, by maximality of the generator.  That witness's trunk is the
+    meet of the simple trunks Tk(j), j != i, containing Tk(i), or the whole
+    code when there are none.  So i is redundant exactly when another neuron
+    has the same simple trunk, or when Tk(i) is the whole code or the meet
+    of strictly larger simple trunks, that is, not irreducible.
     """
     simple = _simple_index_masks(code)
-    full = (1 << len(code.masks)) - 1
-    out = []
-    for i, t in enumerate(simple):
-        if not t:
-            continue
-        meet, witness = full, 0
-        for j, s in enumerate(simple):
-            if j != i and s & t == t:
-                meet &= s
-                witness |= 1 << j
-        if meet == t:
-            out.append((i + 1, frozenset(mask_members(witness))))
-    return out
+    irreducible = {t for _, t in _irreducible_index_masks(code, simple)}
+    return [(i + 1, frozenset(mask_members(_generator(simple, t) & ~(1 << i))))
+            for i, t in enumerate(simple)
+            if t and (t not in irreducible or simple.count(t) > 1)]
 
 
 def is_reduced(code: Code) -> bool:
@@ -69,16 +61,16 @@ def is_reduced(code: Code) -> bool:
 class ReductionResult:
     reduced: Code
     iso: Morphism
-    neuron_origin: tuple[frozenset[int], ...]  # generator behind each new neuron
+    neuron_origin: tuple[frozenset[int], ...]  # generator of each neuron's trunk; see reduce_code
 
 
 def reduce_code(code: Code) -> ReductionResult:
     """Image of the code under its irreducible trunks.
 
-    The result is reduced and reachable from the input by an isomorphism;
-    neuron j of the result remembers the generator of the j-th irreducible
-    trunk (ordered by generator).  An already-reduced code comes back
-    unchanged, so reducing is idempotent.
+    The result is reduced and reachable from the input by an isomorphism.
+    A reduced code comes back unchanged, so reducing is idempotent, and its
+    neuron j remembers the generator of Tk(j); otherwise neuron j remembers
+    the generator of the j-th irreducible trunk, in irreducible_trunks' order.
     """
     trunks = irreducible_trunks(code)
     already = len(trunks) == code.n  # is_reduced(code); keep the neuron order

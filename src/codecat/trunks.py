@@ -134,10 +134,8 @@ def _intersection_closure(masks: Iterable[int], cap: int | None = None) -> set[i
         closed |= {g & w for g in closed}
         closed.add(w)
         if len(closed) + (0 not in closed) > limit:
-            break
-    if len(closed) + (0 not in closed) > limit:
-        raise ResourceCapError(f"code has more trunks than the cap of {cap}; "
-                               "raise max_trunks to enumerate anyway")
+            raise ResourceCapError(f"code has more trunks than the cap of {cap}; "
+                                   "raise max_trunks to enumerate anyway")
     return closed
 
 

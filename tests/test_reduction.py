@@ -6,7 +6,7 @@ import time
 import pytest
 
 from codecat import (Code, ResourceCapError, canonical_form, enumeration, format_code,
-                     is_isomorphic, is_reduced,
+                     irreducible_trunks, is_isomorphic, is_reduced,
                      minimum_neuron_number, parse_code, permutation_morphism,
                      redundant_neurons, reduce_code, trivial_neurons)
 from codecat.codes import MAX_NEURONS
@@ -14,7 +14,8 @@ from codecat.reduction import _bit_reversals, _min_relabeling
 
 from helpers import (cycle_code, edge_codes, hollow_triangles, is_reduced_by_lattice,
                      min_relabeling_by_swaps, min_relabeling_full_sibling_scan,
-                     power_set_with_copy, random_codes, random_relabelling, tuple_word_key)
+                     power_set_with_copy, random_code, random_codes, random_relabelling,
+                     redundant_neurons_by_trunk_of, tuple_word_key)
 
 
 def relabel_code(code, perm):
@@ -52,6 +53,37 @@ def test_redundant_neuron_none_in_reduced():
     assert redundant_neurons(parse_code("{12,23,1,3,0}")) == []
 
 
+def test_redundancy_identity_branch_by_branch():
+    # A nontrivial neuron is redundant when another neuron has its simple
+    # trunk, when its simple trunk is the whole code, or when it is the meet
+    # of the larger simple trunks.  Each code is checked as drawn, with a
+    # copy of one neuron, and with one neuron added to every word; the sweep
+    # must reach every branch.
+    rng = random.Random(2028)
+    hits = {"shared": 0, "whole": 0, "meet": 0}
+    for _ in range(1500):
+        n = rng.randint(0, 6)
+        code = random_code(rng, n, 1 << n)
+        variants = [code, Code(n + 1, [w | 1 << n for w in code.masks])]
+        if n:
+            i = rng.randrange(n)
+            variants.append(Code(n + 1, [w | (w >> i & 1) << n for w in code.masks]))
+        for c in variants:
+            got = redundant_neurons(c)
+            assert got == redundant_neurons_by_trunk_of(c)
+            simple = [frozenset(m for m in c.mask_set if m >> j & 1) for j in range(c.n)]
+            for i, _ in got:
+                t = simple[i - 1]
+                if simple.count(t) > 1:
+                    hits["shared"] += 1
+                elif t == c.mask_set:
+                    hits["whole"] += 1
+                else:
+                    assert t == frozenset.intersection(*[s for s in simple if s > t])
+                    hits["meet"] += 1
+    assert min(hits.values()) > 0, hits
+
+
 def test_is_reduced():
     assert is_reduced(parse_code("{12,23,1,3,0}"))
     assert not is_reduced(parse_code("{123,1,2,0}"))      # 3 redundant
@@ -73,6 +105,17 @@ def test_reduce_golden_small():
     assert r.reduced.n == 1 and is_isomorphic(r.reduced, parse_code("{0,1}"))
     r = reduce_code(parse_code("{0,2,3}"))
     assert r.reduced.n == 2 and is_isomorphic(r.reduced, parse_code("{0,1,2}"))
+
+
+def test_reduced_code_keeps_its_neuron_order():
+    # A reduced code comes back unchanged, so neuron j's origin is the
+    # generator of Tk(j), not the j-th irreducible trunk by generator.
+    code = Code(3, [[1], [1, 3], [2], [1, 2, 3]])
+    r = reduce_code(code)
+    assert is_reduced(code) and r.reduced is code
+    assert r.neuron_origin == (frozenset({1}), frozenset({2}), frozenset({1, 3}))
+    assert [t.generator for t in irreducible_trunks(code)] == [
+        frozenset({1}), frozenset({1, 3}), frozenset({2})]
 
 
 def test_reduce_degenerate_codes():
