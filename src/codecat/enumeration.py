@@ -46,13 +46,15 @@ With a cache directory every census stays full, because a miss writes a
 whole entry.
 
 A cached census is one JSON file per canonical form of the source.  Its
-entry stores the source and each image as [n, *code.masks].  A hit checks
-all of them in bulk, with one type pass over every int and a min and max
-per code, and then builds each code without reading its words again; an
-entry that fails a check is recomputed.  The lookups of one
-image_set_difference call share a dict of the censuses already read or
-computed (cached_enumerate's _entries, passed like _labels), so each entry
-is read at most once per call; nothing of it outlives the call.
+entry stores the images as one hex string of fixed-width records, each a
+code's word count in 4 bytes and then its _label_key, so the labelling cache
+and the cache files share one byte layout; the source is its index in the
+images.  A hit reads the records in one loop, checking that each fits the
+payload, its n and its largest mask, and builds each code without reading
+its words again; an entry that fails a check is recomputed.  The lookups
+of one image_set_difference call share a dict of the censuses already read
+or computed (cached_enumerate's _entries, passed like _labels), so each
+entry is read at most once per call; nothing of it outlives the call.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 from .codes import (MAX_NEURONS, Code, _json_list, code_to_obj, format_code, parse_code,
@@ -76,7 +77,7 @@ from .trunks import (_bit_indices, _generator, _index_trunks, _simple_index_mask
 
 # Part of every cache file's name: a new format or canonical engine gets a
 # new version, so entries of an older one are never read (nor overwritten).
-_CACHE_FORMAT = "codecat-images-3"
+_CACHE_FORMAT = "codecat-images-4"
 
 
 @dataclass(frozen=True)
@@ -415,20 +416,21 @@ def default_cache_dir() -> Path:
     return base / "codecat"
 
 
-def _image_set_obj(s: ImageSet, encode) -> dict:
+def _image_set_obj(s: ImageSet, source, images) -> dict:
     return {
-        "source": encode(s.source.code),
+        "source": source,
         "source_witness": list(s.source.witness),
-        "images": [encode(c) for c in s.images],
+        "images": images,
         "stats": {"explored": s.stats.explored, "pruned": s.stats.pruned,
                   "wall_time": s.stats.wall_time},
     }
 
 
 def _image_set(obj: dict, decode) -> ImageSet:
-    """The ImageSet that _image_set_obj(s, encode) gave obj for, where
-    decode([encode(c) for c in codes]) gives back the codes in order;
-    ValueError, KeyError or TypeError for a malformed obj."""
+    """The ImageSet whose stats and source witness obj holds as
+    _image_set_obj spells them, where decode(obj) gives its source code and
+    its images in order; ValueError, KeyError or TypeError for a malformed
+    obj."""
     st = obj["stats"]
     stats = EnumerationStats(st["explored"], st["pruned"], st["wall_time"])
     wall = stats.wall_time
@@ -436,7 +438,7 @@ def _image_set(obj: dict, decode) -> ImageSet:
             and type(wall) in (int, float) and 0 <= wall < math.inf):
         raise ValueError("enumeration stats must be two counts and a finite "
                          f"time, none negative, got {st!r}")
-    code, *images = decode([obj["source"], *_json_list(obj["images"], '"images"')])
+    code, images = decode(obj)
     witness = _json_list(obj["source_witness"], '"source_witness"')
     if (not all(type(i) is int for i in witness)
             or sorted(witness) != list(range(1, code.n + 1))):
@@ -445,39 +447,54 @@ def _image_set(obj: dict, decode) -> ImageSet:
 
 
 def image_set_to_obj(s: ImageSet) -> dict:
-    return _image_set_obj(s, code_to_obj)
+    return _image_set_obj(s, code_to_obj(s.source.code), [code_to_obj(c) for c in s.images])
+
+
+def _parsed_codes(obj: dict) -> tuple[Code, list[Code]]:
+    code, *images = [parse_code(o) for o in [obj["source"],
+                                             *_json_list(obj["images"], '"images"')]]
+    return code, images
 
 
 def image_set_from_obj(obj: dict) -> ImageSet:
-    return _image_set(obj, lambda objs: [parse_code(o) for o in objs])
-
-
-def _pack_code(code: Code) -> list[int]:
-    return [code.n, *code.masks]
-
-
-def _unpack_codes(packed: list) -> list[Code]:
-    """The codes _pack_code gave the items of packed, checked in bulk as
-    Code checks each word: every item must be a nonempty list of plain ints
-    (no bool), with n in 0..MAX_NEURONS and every mask in 0..2**n - 1.
-    Anything else raises ValueError."""
-    if not all(type(p) is list and p for p in packed):
-        raise ValueError("a cached code must be a nonempty list [n, *masks]")
-    if {*map(type, chain.from_iterable(packed))} - {int}:
-        raise ValueError("a cached code must hold only plain ints")
-    for p in packed:
-        n = p[0]
-        # n < 2**n, so max(p) >> n tests only the masks.
-        if not 0 <= n <= MAX_NEURONS or min(p) < 0 or max(p) >> n:
-            raise ValueError(f"a cached code's n must be in 0..{MAX_NEURONS} and its "
-                             f"masks in 0..2**n - 1, got n={n}")
-    return [Code._of_checked_masks(p[0], p[1:]) for p in packed]
+    return _image_set(obj, _parsed_codes)
 
 
 def _entry_text(s: ImageSet) -> str:
     """The cache entry of a census: image_set_to_obj's keys, with the source
-    and each image packed as [n, *code.masks]."""
-    return json.dumps(_image_set_obj(s, _pack_code), separators=(",", ":"))
+    as its index in the images and the images as one hex string of records,
+    each a code's word count in 4 bytes, big-endian, then its _label_key."""
+    payload = b"".join([len(c.mask_set).to_bytes(4, "big") + _label_key(c.n, c.mask_set)
+                        for c in s.images])
+    return json.dumps(_image_set_obj(s, s.images.index(s.source.code), payload.hex()),
+                      separators=(",", ":"))
+
+
+def _entry_codes(obj: dict) -> tuple[Code, list[Code]]:
+    """The source and images of a cache entry obj, each record checked as
+    Code checks its words: it fits in the payload, n is in 0..MAX_NEURONS
+    and every mask in 0..2**n - 1.  Anything else raises ValueError, or
+    TypeError for a payload that is not a string."""
+    data, k = bytes.fromhex(obj["images"]), obj["source"]
+    images = []
+    i, end = 0, len(data)
+    while i < end:
+        start = i + 5
+        if start > end:
+            raise ValueError("a cache entry's images must not end in a partial record")
+        n = data[i + 4]
+        width = (n + 7) // 8 or 1
+        i = start + int.from_bytes(data[i:i + 4], "big") * width
+        if i > end or n > MAX_NEURONS:
+            raise ValueError(f"a cached code must fit in the entry, with n in 0..{MAX_NEURONS}")
+        masks = data[start:i] if width == 1 else [
+            int.from_bytes(data[j:j + width], "big") for j in range(start, i, width)]
+        if masks and max(masks) >> n:
+            raise ValueError(f"a cached code's masks must be in 0..2**n - 1, got n={n}")
+        images.append(Code._of_checked_masks(n, masks))
+    if type(k) is not int or not 0 <= k < len(images):
+        raise ValueError('a cache entry\'s "source" must index its images')
+    return images[k], images
 
 
 def cached_enumerate(code: Code, cache_dir: Path | str, *, jobs: int = 1,
@@ -486,9 +503,10 @@ def cached_enumerate(code: Code, cache_dir: Path | str, *, jobs: int = 1,
     """enumerate_reduced_images backed by a directory of JSON results keyed
     by the canonical form of the source, so isomorphic inputs share work.
 
-    An entry stores the source and each image as [n, *code.masks].  A hit
-    checks every code of the entry in bulk (plain ints, n in 0..MAX_NEURONS,
-    masks in 0..2**n - 1) and then builds each without reading its words
+    An entry stores the images as one hex string of records (see
+    _entry_text) and the source as its index in them.  A hit checks every
+    record (it fits the payload, n in 0..MAX_NEURONS, masks in
+    0..2**n - 1) and then builds each code without reading its words
     again.  An entry that fails a check, or is not the census of this
     code's canonical form, is recomputed and overwritten.
 
@@ -533,17 +551,13 @@ def _read_entry(path: Path, source: CanonicalForm) -> ImageSet | None:
     if not path.exists():
         return None
     try:
-        obj = read_json(path.read_text())
-        # A census always holds its own source; anything else is another
-        # code's entry or a damaged one.  The writer packs every code alike,
-        # so an intact entry's source list is one of its image lists, found
-        # by a list compare before anything is decoded.
-        if obj["source"] in obj["images"]:
-            hit = _image_set(obj, _unpack_codes)
-            # The stored witness belongs to whichever presentation wrote the
-            # entry, so this input's is kept.
-            if hit.source.code == source.code:
-                return ImageSet(source, hit.images, hit.stats)
+        hit = _image_set(read_json(path.read_text()), _entry_codes)
+        # A census always holds its own source, so the entry names it by
+        # index; a source other than this one's is another code's entry or
+        # a damaged one.  The stored witness belongs to whichever
+        # presentation wrote the entry, so this input's is kept.
+        if hit.source.code == source.code:
+            return ImageSet(source, hit.images, hit.stats)
     except (ValueError, KeyError, TypeError):
         pass  # unreadable or malformed entry; recompute and overwrite
     return None

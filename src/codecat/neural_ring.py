@@ -71,8 +71,9 @@ def coordinate(code: Code, i: int) -> RingElement:
 
 
 def indicator(code: Code, word: Iterable[int]) -> RingElement:
-    """rho_c: 1 exactly at c; the zero element when c is not a codeword."""
-    mask = word_mask(word)
+    """rho_c: 1 exactly at c; the zero element when c is not a codeword.
+    A word with a neuron beyond code.n raises ValueError."""
+    mask = word_mask(word, code.n)
     if mask not in code.mask_set:
         return RingElement.zero(code)
     return RingElement(code, frozenset({mask}))

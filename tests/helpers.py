@@ -2,6 +2,7 @@
 failures replay exactly."""
 
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -9,8 +10,8 @@ import sys
 from collections.abc import Collection
 from pathlib import Path
 
-from codecat import (Code, Morphism, ResourceCapError, Trunk, canonical_form, simple_trunks,
-                     topology, trunk_of)
+from codecat import (Code, Morphism, ResourceCapError, Trunk, canonical_form,
+                     image_set_to_obj, simple_trunks, topology, trunk_of)
 from codecat.codes import MAX_NEURONS, mask_members
 from codecat.enumeration import _canonical_of_reduced_masks, _index_pool, _walk
 from codecat.reduction import DEFAULT_MAX_NODES, ReductionResult
@@ -266,6 +267,28 @@ def decode_label_key(key: bytes) -> tuple[int, frozenset[int]]:
     assert all(a < b for a, b in zip(masks, masks[1:])), key
     assert all(w >> m == 0 for w in masks), key
     return m, frozenset(masks)
+
+
+def cache_record(n: int, masks, count: int | None = None) -> bytes:
+    """One record of a cache entry's images payload: the word count
+    (len(masks) unless count is given) in 4 big-endian bytes, one byte for
+    n, then the masks in the order given, each big-endian in
+    max(1, ceil(n / 8)) bytes.  Makes damaged records too: any count, n up
+    to 255, masks up to that width."""
+    width = max(1, -(-n // 8))
+    return ((len(masks) if count is None else count).to_bytes(4, "big") + bytes([n])
+            + b"".join(w.to_bytes(width, "big") for w in masks))
+
+
+def cache_entry(census) -> str:
+    """The cache entry of census, spelled out without the library's
+    encoder: image_set_to_obj's keys, no spaces, with the source as its
+    index among the images and the images as the hex of their records, in
+    census order, each with its masks ascending.  Reference for
+    enumeration._entry_text."""
+    obj = dict(image_set_to_obj(census), source=census.images.index(census.source.code),
+               images=b"".join(cache_record(c.n, sorted(c.masks)) for c in census.images).hex())
+    return json.dumps(obj, separators=(",", ":"))
 
 
 def difference_by_censuses(target: Code, baselines: list[Code], census) -> tuple[Code, ...]:

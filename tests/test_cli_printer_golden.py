@@ -5,7 +5,8 @@ standard output and standard error of:
 - `trunks` (every trunk, and one --sigma), `irreducible` and `ring` (the
   coordinates, one --sigma monomial, one --word indicator) on six codes,
   among them the 12-neuron [[1,2],[10],[1,2,12]], the zero-word code [] and
-  the one-word code {0}, with sigmas that overflow some codes and exit 2;
+  the one-word code {0}, with sigmas and words that overflow some codes
+  and exit 2;
 - `decompose` on three morphisms, one with an empty trunk, and on a map
   that is not a morphism;
 - `member` with a witness found, with none, and on the 0-neuron codes.

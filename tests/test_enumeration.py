@@ -17,10 +17,10 @@ from codecat import (Code, ResourceCapError, all_trunks, canonical_form,
                      image_set_to_obj, is_isomorphic, is_reduced, parse_code,
                      reduce_code, verify_image_membership)
 
-from helpers import (code_key_by_pairs, cycle_code, decode_label_key, difference_by_censuses,
-                     edge_codes, hollow_triangles, image_signature, induced_image_words,
-                     membership_by_full_walk, min_relabeling_by_swaps, random_codes,
-                     random_relabelling, stays_irredundant_by_pairs)
+from helpers import (cache_entry, cache_record, code_key_by_pairs, cycle_code, decode_label_key,
+                     difference_by_censuses, edge_codes, hollow_triangles, image_signature,
+                     induced_image_words, membership_by_full_walk, min_relabeling_by_swaps,
+                     random_codes, random_relabelling, stays_irredundant_by_pairs)
 
 C5 = parse_code("{12,23,1,3,0}")
 D5 = parse_code("{12,34,1,3,0}")
@@ -223,7 +223,8 @@ def corrupted_entries(code: Code, good: dict) -> list[str]:
     """Damaged spellings of good, the intact cache entry of code, each of
     which a lookup must refuse, recompute and overwrite.  One of them is the
     entry of D5, so code must not be isomorphic to D5."""
-    emptied = dict(good, images=[])
+    census = enumerate_reduced_images(code)
+    emptied = dict(good, images="")
     bad_stats = [dict(good, stats=dict(good["stats"], **{field: value}))
                  for field, value in [("explored", [1]), ("explored", -3),
                                       ("explored", True), ("explored", 2.0),
@@ -232,20 +233,36 @@ def corrupted_entries(code: Code, good: dict) -> list[str]:
                                       ("wall_time", False), ("wall_time", float("nan")),
                                       ("wall_time", float("inf"))]]
     bad_stats.append(dict(good, stats={"explored": -3, "pruned": 2.5, "wall_time": -1}))
-    other = enumeration._entry_text(enumerate_reduced_images(D5))
+    other = cache_entry(enumerate_reduced_images(D5))
     letters = dict(good, source_witness="abc")
     repeated = dict(good, source_witness=[9, 9, 9])
-    # Faults in the packed codes.  The extra images keep the source list
-    # among the image lists, so the code reader itself must refuse them.
-    last = good["images"][-1]
-    assert last != good["source"]
-    bad_codes = [dict(good, images=good["images"] + [extra])
-                 for extra in [[], 7, "[3,1]", {"n": 0, "words": [[]]}, [True, 1],
-                               [65, 1], [*last, -1], [*last, 1 << last[0]], [*last, True],
-                               [*last, [1, 2]]]]
-    bad_codes += [dict(good, source={"n": 3, "words": [[1], []]}),
-                  dict(good, images={"a": good["source"]}),
-                  image_set_to_obj(enumerate_reduced_images(code))]
+    # Faults in the payload.  Bytes cannot spell a negative, bool or nested
+    # mask, so the faults are in the framing, n and the mask range.  Each
+    # bad tail follows the intact records, so the source index still names
+    # the source and the record reader itself must refuse the entry.
+    payload = good["images"]
+    assert payload == json.loads(cache_entry(census))["images"]
+    bad_tails = [b"\0", bytes(4), cache_record(3, [1], count=2),
+                 cache_record(3, [], count=1), cache_record(10, [1, 2])[:-1],
+                 cache_record(65, []), cache_record(65, [1]), cache_record(3, [8]),
+                 cache_record(3, [1, 9]), cache_record(10, [1 << 10]),
+                 cache_record(9, [1, 1 << 9])]
+    bad_payloads = [payload + tail.hex() for tail in bad_tails]
+    bad_payloads += [payload + "0", payload[:-1], payload + "zz", "[3,1]",
+                     [[c.n, *c.masks] for c in census.images], {"a": payload}, 7, None]
+    bad_codes = [dict(good, images=p) for p in bad_payloads]
+    # Faults in the source index: out of range, not a plain int, or naming
+    # an image that is not the source, one of them on as many neurons, so
+    # that only the compare with the source refuses it.
+    source, n = good["source"], census.source.code.n
+    assert census.images[source] == census.source.code and source > 0
+    twin = next(i for i, c in enumerate(census.images) if c.n == n and i != source)
+    bad_codes += [dict(good, source=k)
+                  for k in [len(census.images), source - len(census.images), True,
+                            float(source), str(source), None,
+                            [n, *census.source.code.masks], {"n": 3, "words": [[1], []]},
+                            0, twin]]
+    bad_codes.append(image_set_to_obj(census))
     return ["{ not json", "[1,2]", "null", '"text"', "7",
             json.dumps(emptied), other, *map(json.dumps, bad_stats),
             json.dumps(letters), json.dumps(repeated), *map(json.dumps, bad_codes),
@@ -263,44 +280,83 @@ def test_cache_recovers_from_corruption(tmp_path):
         assert list(tmp_path.iterdir()) == [path]  # no temporary file left
 
 
+def test_cache_refuses_a_bool_source_index(tmp_path):
+    # The census of {1,0} is {0} and itself, so the source's index is 1,
+    # which the bool true would name if the reader took it for an int.
+    code = Code(1, [[1], []])
+    cached_enumerate(code, tmp_path)
+    (path,) = tmp_path.glob("images-*.json")
+    intact = path.read_text()
+    assert json.loads(intact)["source"] == 1
+    path.write_text(intact.replace('"source":1,', '"source":true,'))
+    assert cached_enumerate(code, tmp_path).images == enumerate_reduced_images(code).images
+    assert path.read_text().startswith('{"source":1,')  # recomputed and rewritten
+
+
 def test_cache_hit_keeps_its_own_inputs_witness(tmp_path):
     cached_enumerate(C5, tmp_path)
     relabeled = parse_code("{13,23,1,2,0}")
     assert cached_enumerate(relabeled, tmp_path).source == canonical_form(relabeled)
 
 
-def packed_entry(census):
-    """The cache entry of census, spelled out: image_set_to_obj's keys, with
-    every code packed as [n, *masks] in Code.masks order, no spaces."""
-    obj = dict(image_set_to_obj(census),
-               source=[census.source.code.n, *census.source.code.masks],
-               images=[[c.n, *c.masks] for c in census.images])
-    return json.dumps(obj, separators=(",", ":"))
+def code_texts(codes) -> list[str]:
+    """format_code of each code, in the compact style up to 9 neurons and
+    in the JSON style above, where the compact one has no spelling."""
+    return [format_code(c, "compact" if c.n <= 9 else "json") for c in codes]
 
 
 def test_cache_entry_and_hit_match_the_uncached_census(tmp_path):
-    # The entry is the census packed, byte for byte, and a hit gives back
+    # The entry is the census encoded, byte for byte, and a hit gives back
     # the uncached images in order, with the same words in the same order
-    # and the same text.
-    reference = enumerate_reduced_images(CF)
-    miss = cached_enumerate(CF, tmp_path)
+    # and the same text.  The ten singletons give images on up to 10
+    # neurons, so records of 2-byte masks.
+    for name, code in [("CF", CF), ("ten", Code(10, [[i] for i in range(1, 11)]))]:
+        reference = enumerate_reduced_images(code)
+        miss = cached_enumerate(code, tmp_path / name)
+        (path,) = (tmp_path / name).glob("images-*.json")
+        assert path.read_text() == cache_entry(miss) == enumeration._entry_text(miss)
+        relabeled = Code(code.n, [[code.n + 1 - i for i in w] for w in code.words])
+        for again in (code, relabeled):
+            hit = cached_enumerate(again, tmp_path / name)
+            assert hit.stats == miss.stats
+            assert hit.images == reference.images
+            assert [c.masks for c in hit.images] == [c.masks for c in reference.images]
+            assert code_texts(hit.images) == code_texts(reference.images)
+            assert hit.source == canonical_form(again)
+
+
+def test_cache_round_trips_records_of_every_width(tmp_path, monkeypatch):
+    # No reduced code on 64 neurons has a census small enough to run, so the
+    # miss writes a made-up one: the 64 singletons as source, and images
+    # with masks of every width from 1 to 8 bytes, the widest masks at each
+    # width, the codes {} and {0} on no neurons, and n = 8 among them.
+    singletons = Code(64, [[i] for i in range(1, 65)])
+    source = canonical_form(singletons)
+    images = (Code(0, []), Code(0, [0]), Code(8, [0, 255, 128]),
+              *[Code(n, [(1 << n) - 1, 1 << (n - 1), 1])
+                for n in (9, 16, 17, 25, 33, 41, 49, 57, 64)],
+              source.code)
+    assert {max(1, -(-c.n // 8)) for c in images} == set(range(1, 9))
+    census = enumeration.ImageSet(source, images, enumeration.EnumerationStats(7, 3, 0.5))
+    monkeypatch.setattr(enumeration, "enumerate_reduced_images", lambda *a, **kw: census)
+    assert cached_enumerate(singletons, tmp_path) == census
     (path,) = tmp_path.glob("images-*.json")
-    assert path.read_text() == packed_entry(miss) == enumeration._entry_text(miss)
-    relabeled = Code(CF.n, [[6 - i for i in w] for w in CF.words])
-    for code in (CF, relabeled):
-        hit = cached_enumerate(code, tmp_path)
-        assert hit.stats == miss.stats
-        assert hit.images == reference.images
-        assert [c.masks for c in hit.images] == [c.masks for c in reference.images]
-        assert ([format_code(c) for c in hit.images]
-                == [format_code(c) for c in reference.images])
-        assert hit.source == canonical_form(code)
+    assert path.read_text() == cache_entry(census)
+
+    def no_census(*args, **kwargs):
+        raise AssertionError("a warm entry was recomputed")
+
+    monkeypatch.setattr(enumeration, "enumerate_reduced_images", no_census)
+    hit = cached_enumerate(singletons, tmp_path)
+    assert hit == census
+    assert [c.masks for c in hit.images] == [c.masks for c in images]
+    assert code_texts(hit.images) == code_texts(images)
 
 
 def test_cold_cache_lookup_labels_its_source_once(tmp_path, monkeypatch):
     # The entry key's canonical form is the census's source: a miss labels
     # the source once, as a hit does, and writes the entry the uncached
-    # census packs to, byte for byte but for its own wall time.
+    # census encodes to, byte for byte but for its own wall time.
     reference = enumerate_reduced_images(DF)
     calls = count_calls(monkeypatch, "canonical_form")
     miss = cached_enumerate(DF, tmp_path)
@@ -309,25 +365,34 @@ def test_cold_cache_lookup_labels_its_source_once(tmp_path, monkeypatch):
     assert len(calls) == 2
     (path,) = tmp_path.glob("images-*.json")
     timed = enumeration.ImageSet(reference.source, reference.images, miss.stats)
-    assert path.read_text() == packed_entry(timed) == packed_entry(miss)
+    assert path.read_text() == cache_entry(timed) == cache_entry(miss)
     assert hit == miss
 
 
-def test_cache_never_reads_an_older_format(tmp_path):
-    # An intact entry of the previous format, under the name that format
-    # gave it, is neither read nor overwritten: the call writes the new
-    # entry beside it and returns the uncached census.
+def test_cache_never_reads_an_older_format(tmp_path, monkeypatch):
+    # An intact entry of the previous format, codecat-images-3, under the
+    # name that format gave it, is neither read nor overwritten: the call
+    # writes the new entry beside it and returns the uncached census.  That
+    # format spelled the source and each image as [n, *masks].
     reference = enumerate_reduced_images(C5)
-    key = "codecat-images-2\n" + format_code(reference.source.code, "json")
+    key = "codecat-images-3\n" + format_code(reference.source.code, "json")
     old = tmp_path / f"images-{hashlib.sha256(key.encode()).hexdigest()[:32]}.json"
-    old_text = json.dumps(image_set_to_obj(reference))
+    old_text = json.dumps(dict(image_set_to_obj(reference),
+                               source=[reference.source.code.n, *reference.source.code.masks],
+                               images=[[c.n, *c.masks] for c in reference.images]),
+                          separators=(",", ":"))
     old.write_text(old_text)
+    reads = []
+    read_text = Path.read_text
+    monkeypatch.setattr(Path, "read_text",
+                        lambda path, *a, **kw: reads.append(path) or read_text(path, *a, **kw))
     out = cached_enumerate(C5, tmp_path)
+    assert reads == []
     assert out.images == reference.images
     assert [c.masks for c in out.images] == [c.masks for c in reference.images]
     assert old.read_text() == old_text
     (new,) = set(tmp_path.iterdir()) - {old}
-    assert new.read_text() == packed_entry(out)
+    assert new.read_text() == cache_entry(out)
 
 
 def test_cache_hits_read_back_seeded_censuses(tmp_path, monkeypatch):
@@ -414,7 +479,7 @@ def test_difference_recovers_from_a_corrupt_entry(tmp_path, role):
         assert image_set_difference(target, baselines, cache_dir=tmp_path) == want
         assert path.read_text() != entry  # recomputed and rewritten
         rewritten = json.loads(path.read_text())
-        assert rewritten["images"] == [[c.n, *c.masks] for c in census.images]
+        assert rewritten == dict(json.loads(cache_entry(census)), stats=rewritten["stats"])
         assert sorted(tmp_path.iterdir()) == files  # no temporary file left
 
 

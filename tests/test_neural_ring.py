@@ -39,6 +39,14 @@ def test_indicator():
     assert indicator(C5, [2]).support == frozenset()  # not a codeword
 
 
+@pytest.mark.parametrize("word", [[1, 2, 12], [4], 1 << 3, 0b1000011])
+def test_indicator_refuses_a_word_beyond_n(word):
+    # A word on neurons the code does not have is refused, as trunk_of and
+    # MonomialMap.indicator_image refuse it, not read as a missing codeword.
+    with pytest.raises(ValueError, match="exceeds declared n=3"):
+        indicator(C5, word)
+
+
 def test_evaluate_monomial_is_trunk_support():
     assert evaluate_monomial(C5, [2]).support == trunk_of(C5, [2]).member_masks
     assert evaluate_monomial(C5, []).support == C5.mask_set

@@ -36,7 +36,7 @@ READERS = {
     "restriction_morphism": (True, lambda fx, w: restriction_morphism(fx.code, w)),
     "union_morphism": (True, lambda fx, w: union_morphism(fx.code, w)),
     "RingElement.value_at": (False, lambda fx, w: fx.element.value_at(w)),
-    "indicator": (False, lambda fx, w: indicator(fx.code, w)),
+    "indicator": (True, lambda fx, w: indicator(fx.code, w)),
     "evaluate_monomial": (True, lambda fx, w: evaluate_monomial(fx.code, w)),
     "MonomialMap.monomial_image": (True, lambda fx, w: fx.ring_map.monomial_image(w)),
     "MonomialMap.indicator_image": (True, lambda fx, w: fx.ring_map.indicator_image(w)),
