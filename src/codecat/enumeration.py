@@ -50,18 +50,26 @@ entry stores the images as one hex string of fixed-width records, each a
 code's word count in 4 bytes and then its _label_key, so the labelling cache
 and the cache files share one byte layout; the source is its index in the
 images.  A hit reads the records in one loop, checking that each fits the
-payload, its n and its largest mask, and builds each code without reading
-its words again; an entry that fails a check is recomputed.  The lookups
-of one image_set_difference call share a dict of the censuses already read
-or computed (cached_enumerate's _entries, passed like _labels), so each
-entry is read at most once per call; nothing of it outlives the call.
+payload, its n, that its masks ascend strictly and the first byte of the
+last, and keeps each record as bytes; an entry that fails a check is
+recomputed.  cached_enumerate then builds each code from its record
+without reading its words again.  A cached image_set_difference builds
+almost none: an entry's records are written from canonical codes and
+checked to be spelled as written, so two are equal exactly when their
+codes are, and the difference is taken on the records, a code being built
+only for each target record that no baseline census holds.  Its lookups
+share a dict of the records already read or computed (cached_enumerate's
+_entries), so each entry is read at most once per call, and a miss keeps
+the records its entry was written from; nothing of it outlives the call.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import os
+import struct
 import tempfile
 import time
 from dataclasses import dataclass
@@ -78,6 +86,8 @@ from .trunks import (_bit_indices, _generator, _index_trunks, _simple_index_mask
 # Part of every cache file's name: a new format or canonical engine gets a
 # new version, so entries of an older one are never read (nor overwritten).
 _CACHE_FORMAT = "codecat-images-4"
+# The head of a cache record: its word count and n.
+_RECORD_HEAD = struct.Struct(">IB")
 
 
 @dataclass(frozen=True)
@@ -381,18 +391,22 @@ def image_set_difference(target: Code, baselines: list[Code], *, jobs: int = 1,
     against the target images not yet covered (see _cover), so a baseline
     image is canonicalised only when its filter key matches one of them.
     With cache_dir every census is full, because a miss writes a whole
-    entry, and the call's lookups share one _entries dict, so each entry is
-    read at most once however often the call names its class."""
+    entry.  The difference is then taken on the censuses' cache records,
+    written from canonical codes and so equal exactly when their codes
+    are, and a code is built only for each target record that no baseline
+    census holds.  The call's lookups share one _entries dict of the records
+    read or computed (see cached_enumerate), so each entry is read at most
+    once however often the call names its class."""
     _check_cap(max_trunks, "max_trunks")
     labels: dict = {}
     kw = {"max_trunks": max_trunks, "_labels": labels}
     if cache_dir is not None:
         kw["_entries"] = {}
-        mine = cached_enumerate(target, cache_dir, **kw).images
-        covered: set[Code] = set()
+        mine = cached_enumerate(target, cache_dir, **kw)
+        covered: set[bytes] = set()
         for b in baselines:
-            covered.update(cached_enumerate(b, cache_dir, **kw).images)
-        return tuple(c for c in mine if c not in covered)
+            covered.update(cached_enumerate(b, cache_dir, **kw))
+        return tuple([_decoded(r) for r in mine if r not in covered])
     mine = enumerate_reduced_images(target, **kw).images
     uncovered: dict[tuple, set[Code]] = {}
     for c in mine:
@@ -426,11 +440,9 @@ def _image_set_obj(s: ImageSet, source, images) -> dict:
     }
 
 
-def _image_set(obj: dict, decode) -> ImageSet:
-    """The ImageSet whose stats and source witness obj holds as
-    _image_set_obj spells them, where decode(obj) gives its source code and
-    its images in order; ValueError, KeyError or TypeError for a malformed
-    obj."""
+def _checked_stats(obj: dict) -> EnumerationStats:
+    """The stats obj holds as _image_set_obj spells them; ValueError,
+    KeyError or TypeError for malformed ones."""
     st = obj["stats"]
     stats = EnumerationStats(st["explored"], st["pruned"], st["wall_time"])
     wall = stats.wall_time
@@ -438,126 +450,156 @@ def _image_set(obj: dict, decode) -> ImageSet:
             and type(wall) in (int, float) and 0 <= wall < math.inf):
         raise ValueError("enumeration stats must be two counts and a finite "
                          f"time, none negative, got {st!r}")
-    code, images = decode(obj)
+    return stats
+
+
+def _checked_witness(obj: dict, n: int) -> tuple[int, ...]:
+    """The source witness obj holds, which must be a permutation of 1..n."""
     witness = _json_list(obj["source_witness"], '"source_witness"')
-    if (not all(type(i) is int for i in witness)
-            or sorted(witness) != list(range(1, code.n + 1))):
-        raise ValueError(f'"source_witness" must be a permutation of 1..{code.n}')
-    return ImageSet(CanonicalForm(code, tuple(witness)), tuple(images), stats)
+    if not all(type(i) is int for i in witness) or sorted(witness) != list(range(1, n + 1)):
+        raise ValueError(f'"source_witness" must be a permutation of 1..{n}')
+    return tuple(witness)
 
 
 def image_set_to_obj(s: ImageSet) -> dict:
     return _image_set_obj(s, code_to_obj(s.source.code), [code_to_obj(c) for c in s.images])
 
 
-def _parsed_codes(obj: dict) -> tuple[Code, list[Code]]:
+def image_set_from_obj(obj: dict) -> ImageSet:
+    stats = _checked_stats(obj)
     code, *images = [parse_code(o) for o in [obj["source"],
                                              *_json_list(obj["images"], '"images"')]]
-    return code, images
+    return ImageSet(CanonicalForm(code, _checked_witness(obj, code.n)), tuple(images), stats)
 
 
-def image_set_from_obj(obj: dict) -> ImageSet:
-    return _image_set(obj, _parsed_codes)
+def _record(c: Code) -> bytes:
+    """A code's cache record: its word count in 4 bytes, big-endian, then
+    its _label_key."""
+    return len(c.mask_set).to_bytes(4, "big") + _label_key(c.n, c.mask_set)
 
 
-def _entry_text(s: ImageSet) -> str:
-    """The cache entry of a census: image_set_to_obj's keys, with the source
-    as its index in the images and the images as one hex string of records,
-    each a code's word count in 4 bytes, big-endian, then its _label_key."""
-    payload = b"".join([len(c.mask_set).to_bytes(4, "big") + _label_key(c.n, c.mask_set)
-                        for c in s.images])
-    return json.dumps(_image_set_obj(s, s.images.index(s.source.code), payload.hex()),
+def _decoded(record: bytes) -> Code:
+    """The code a record checked by _entry_records spells.  Its word set is
+    copied from a set, as Code builds it, so it keeps no resize slack."""
+    n = record[4]
+    if n <= 8:
+        return Code._of_checked_masks(n, set(record[5:]))
+    width = (n + 7) // 8
+    return Code._of_checked_masks(n, {int.from_bytes(record[j:j + width], "big")
+                                      for j in range(5, len(record), width)})
+
+
+def _entry_text(s: ImageSet, records: list[bytes]) -> str:
+    """The cache entry of a census whose images have the given records:
+    image_set_to_obj's keys, with the source as its index in the images and
+    the images as the hex of their records, in census order."""
+    return json.dumps(_image_set_obj(s, s.images.index(s.source.code), b"".join(records).hex()),
                       separators=(",", ":"))
 
 
-def _entry_codes(obj: dict) -> tuple[Code, list[Code]]:
-    """The source and images of a cache entry obj, each record checked as
-    Code checks its words: it fits in the payload, n is in 0..MAX_NEURONS
-    and every mask in 0..2**n - 1.  Anything else raises ValueError, or
-    TypeError for a payload that is not a string."""
+def _entry_records(obj: dict, source: Code) -> tuple[list[bytes], EnumerationStats]:
+    """The records and stats of a cache entry obj of source's census.
+
+    Each record is checked as Code checks its words and as _record writes
+    them: it fits in the payload, n is in 0..MAX_NEURONS and the masks are
+    strictly ascending, the last below 2**n.  The source index must name
+    source's own record, and the stats and witness are checked as
+    image_set_from_obj checks them.  Anything else raises ValueError or
+    KeyError, or TypeError for a payload that is not a string."""
+    stats = _checked_stats(obj)
     data, k = bytes.fromhex(obj["images"]), obj["source"]
-    images = []
+    records, head = [], _RECORD_HEAD.unpack_from
+    # The one-byte masks of every record, each record's run of them without
+    # its last (lows) and without its first (highs): they ascend strictly
+    # when every low is below the high beside it.
+    lows, highs = [], []
     i, end = 0, len(data)
     while i < end:
         start = i + 5
         if start > end:
             raise ValueError("a cache entry's images must not end in a partial record")
-        n = data[i + 4]
+        count, n = head(data, i)
         width = (n + 7) // 8 or 1
-        i = start + int.from_bytes(data[i:i + 4], "big") * width
-        if i > end or n > MAX_NEURONS:
+        j = start + count * width
+        if j > end or n > MAX_NEURONS:
             raise ValueError(f"a cached code must fit in the entry, with n in 0..{MAX_NEURONS}")
-        masks = data[start:i] if width == 1 else [
-            int.from_bytes(data[j:j + width], "big") for j in range(start, i, width)]
-        if masks and max(masks) >> n:
-            raise ValueError(f"a cached code's masks must be in 0..2**n - 1, got n={n}")
-        images.append(Code._of_checked_masks(n, masks))
-    if type(k) is not int or not 0 <= k < len(images):
-        raise ValueError('a cache entry\'s "source" must index its images')
-    return images[k], images
+        if count:
+            # The last mask is the largest, and it is below 2**n when its
+            # first, most significant byte is below 2**(n - 8 * (width - 1)).
+            if data[j - width] >> (n + 8 - 8 * width):
+                raise ValueError(f"a cached code's masks must be in 0..2**n - 1, got n={n}")
+            if width == 1:
+                lows.append(data[start:j - 1])
+                highs.append(data[start + 1:j])
+            else:
+                # Big-endian masks of one width order as their bytes do.
+                masks = [data[m:m + width] for m in range(start, j, width)]
+                if not all(map(operator.lt, masks, masks[1:])):
+                    raise ValueError("a cached code's masks must be strictly ascending")
+        records.append(data[i:j])
+        i = j
+    if not all(map(operator.lt, b"".join(lows), b"".join(highs))):
+        raise ValueError("a cached code's masks must be strictly ascending")
+    if type(k) is not int or not 0 <= k < len(records) or records[k] != _record(source):
+        raise ValueError('a cache entry\'s "source" must index its source among its images')
+    # The stored witness belongs to whichever presentation wrote the entry,
+    # so it is only checked: each lookup keeps its own input's witness.
+    _checked_witness(obj, source.n)
+    return records, stats
 
 
 def cached_enumerate(code: Code, cache_dir: Path | str, *, jobs: int = 1,
                      max_trunks: int | None = DEFAULT_TRUNK_CAP,
-                     _labels: dict | None = None, _entries: dict | None = None) -> ImageSet:
+                     _labels: dict | None = None, _entries: dict | None = None
+                     ) -> ImageSet | list[bytes]:
     """enumerate_reduced_images backed by a directory of JSON results keyed
     by the canonical form of the source, so isomorphic inputs share work.
 
-    An entry stores the images as one hex string of records (see
-    _entry_text) and the source as its index in them.  A hit checks every
-    record (it fits the payload, n in 0..MAX_NEURONS, masks in
-    0..2**n - 1) and then builds each code without reading its words
-    again.  An entry that fails a check, or is not the census of this
-    code's canonical form, is recomputed and overwritten.
+    An entry stores the images as one hex string of records (see _record)
+    and the source as its index in them.  A hit checks every record (it
+    fits the payload, n in 0..MAX_NEURONS, masks strictly ascending and
+    below 2**n) and then builds each code from its record, reading no word
+    again.  An entry that is gone when it is read is a miss; one that fails
+    a check, or is not the census of this code's canonical form, is
+    recomputed and overwritten.
 
     _labels is the labelling cache a miss's census uses, and _entries maps
-    canonical sources to the censuses already read or computed, for callers
-    that look up several codes: a code whose class _entries holds gets that
-    census with its own source witness, and nothing is read."""
+    canonical sources to the records and stats already read or computed,
+    for callers that look up several codes: a code whose class _entries
+    holds reads nothing, and a miss stores there the records its entry was
+    written from.  Given _entries, the lookup returns the census's records
+    and builds no code; image_set_difference compares them and builds codes
+    only for the images it returns."""
     _check_cap(max_trunks, "max_trunks")
     source = canonical_form(code)
-    if _entries is not None and source.code in _entries:
-        known = _entries[source.code]
-        return ImageSet(source, known.images, known.stats)
-    cdir = Path(cache_dir)
-    import hashlib  # only cache file names need it; a plain census never loads it
-    key = f"{_CACHE_FORMAT}\n{format_code(source.code, 'json')}"
-    digest = hashlib.sha256(key.encode()).hexdigest()[:32]
-    path = cdir / f"images-{digest}.json"
-    result = _read_entry(path, source)
-    if result is None:
-        result = enumerate_reduced_images(code, max_trunks=max_trunks, _labels=_labels,
-                                          _source=source)
-        cdir.mkdir(parents=True, exist_ok=True)
-        # A temporary file of its own per writer, so concurrent runs never
-        # interleave their bytes; os.replace publishes it whole.
-        fd, tmp = tempfile.mkstemp(prefix=f"{path.stem}.", suffix=".tmp", dir=cdir)
+    known = None if _entries is None else _entries.get(source.code)
+    if known is None:
+        cdir = Path(cache_dir)
+        import hashlib  # only cache file names need it; a plain census never loads it
+        key = f"{_CACHE_FORMAT}\n{format_code(source.code, 'json')}"
+        path = cdir / f"images-{hashlib.sha256(key.encode()).hexdigest()[:32]}.json"
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(_entry_text(result))
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    if _entries is not None:
-        _entries[source.code] = result
-    return result
-
-
-def _read_entry(path: Path, source: CanonicalForm) -> ImageSet | None:
-    """The census the entry at path holds for source, with source's own
-    witness; None if there is no entry or it is unreadable, malformed or
-    another code's."""
-    if not path.exists():
-        return None
-    try:
-        hit = _image_set(read_json(path.read_text()), _entry_codes)
-        # A census always holds its own source, so the entry names it by
-        # index; a source other than this one's is another code's entry or
-        # a damaged one.  The stored witness belongs to whichever
-        # presentation wrote the entry, so this input's is kept.
-        if hit.source.code == source.code:
-            return ImageSet(source, hit.images, hit.stats)
-    except (ValueError, KeyError, TypeError):
-        pass  # unreadable or malformed entry; recompute and overwrite
-    return None
+            known = _entry_records(read_json(path.read_text()), source.code)
+        except (FileNotFoundError, ValueError, KeyError, TypeError):
+            # No entry (one deleted since its name was formed is none
+            # either), or a bad one: recompute and overwrite it.
+            known = None
+        if known is None:
+            census = enumerate_reduced_images(code, max_trunks=max_trunks, _labels=_labels,
+                                              _source=source)
+            known = [_record(c) for c in census.images], census.stats
+            cdir.mkdir(parents=True, exist_ok=True)
+            # A temporary file of its own per writer, so concurrent runs
+            # never interleave their bytes; os.replace publishes it whole.
+            fd, tmp = tempfile.mkstemp(prefix=f"{path.stem}.", suffix=".tmp", dir=cdir)
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    fh.write(_entry_text(census, known[0]))
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+    if _entries is None:
+        return ImageSet(source, tuple([_decoded(r) for r in known[0]]), known[1])
+    _entries[source.code] = known
+    return known[0]

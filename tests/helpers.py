@@ -291,6 +291,38 @@ def cache_entry(census) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def entry_codes_by_loop(obj: dict) -> tuple[Code, list[Code]]:
+    """The source and images of a cache entry obj, each code built as it is
+    read from the payload: it must fit in the payload, n must be in
+    0..MAX_NEURONS and every mask in 0..2**n - 1, each mask read whole as
+    an int, the masks strictly ascending, and the source must be a plain
+    int indexing the images.  ValueError otherwise, or TypeError for a
+    payload that is not a string.  Reference for
+    enumeration._entry_records, which checks only the first byte of the
+    last mask, compares the masks as bytes and builds no code."""
+    data, k = bytes.fromhex(obj["images"]), obj["source"]
+    images = []
+    i, end = 0, len(data)
+    while i < end:
+        start = i + 5
+        if start > end:
+            raise ValueError("partial record")
+        n = data[i + 4]
+        width = max(1, -(-n // 8))
+        i = start + int.from_bytes(data[i:i + 4], "big") * width
+        if i > end or n > MAX_NEURONS:
+            raise ValueError("record past the payload, or n too large")
+        masks = [int.from_bytes(data[j:j + width], "big") for j in range(start, i, width)]
+        if any(w >> n for w in masks):
+            raise ValueError("mask beyond n")
+        if any(a >= b for a, b in zip(masks, masks[1:])):
+            raise ValueError("masks not strictly ascending")
+        images.append(Code(n, masks))
+    if type(k) is not int or not 0 <= k < len(images):
+        raise ValueError("source index")
+    return images[k], images
+
+
 def difference_by_censuses(target: Code, baselines: list[Code], census) -> tuple[Code, ...]:
     """The images in target's full census that are in no baseline's full
     census; census(code) gives the images of code's census, from

@@ -18,9 +18,10 @@ from codecat import (Code, ResourceCapError, all_trunks, canonical_form,
                      reduce_code, verify_image_membership)
 
 from helpers import (cache_entry, cache_record, code_key_by_pairs, cycle_code, decode_label_key,
-                     difference_by_censuses, edge_codes, hollow_triangles, image_signature,
-                     induced_image_words, membership_by_full_walk, min_relabeling_by_swaps,
-                     random_codes, random_relabelling, stays_irredundant_by_pairs)
+                     difference_by_censuses, edge_codes, entry_codes_by_loop, hollow_triangles,
+                     image_signature, induced_image_words, membership_by_full_walk,
+                     min_relabeling_by_swaps, random_codes, random_relabelling,
+                     stays_irredundant_by_pairs)
 
 C5 = parse_code("{12,23,1,3,0}")
 D5 = parse_code("{12,34,1,3,0}")
@@ -211,6 +212,11 @@ def test_cache_roundtrip(tmp_path):
     assert len(files) == 1
     second = cached_enumerate(C5, tmp_path)
     assert second.images == first.images
+    # A hit's word sets are as compact as those Code builds: no resize
+    # slack, which a frozenset built from bytes or a list keeps.
+    assert max(len(c) for c in second.images) == 5
+    for c in second.images:
+        assert sys.getsizeof(c.mask_set) == sys.getsizeof(Code(c.n, c.masks).mask_set)
     # isomorphic presentation shares the entry
     relabeled = parse_code("{13,23,1,2,0}")
     assert is_isomorphic(relabeled, C5)
@@ -248,6 +254,18 @@ def corrupted_entries(code: Code, good: dict) -> list[str]:
                  cache_record(3, [1, 9]), cache_record(10, [1 << 10]),
                  cache_record(9, [1, 1 << 9])]
     bad_payloads = [payload + tail.hex() for tail in bad_tails]
+    # An image D5 has too, not the source, spelled with two masks swapped,
+    # or with a mask twice and its count raised by one: the record no
+    # longer equals the one its code writes, so a difference comparing
+    # records would keep an image the other census covers.
+    shared = set(enumerate_reduced_images(D5).images)
+    i, image = next((i, c) for i, c in enumerate(census.images)
+                    if c in shared and len(c) >= 3 and c != census.source.code)
+    low, high, *rest = sorted(image.masks)
+    for masks in [[high, low, *rest], [low, low, high, *rest]]:
+        records = [cache_record(c.n, sorted(c.masks)) for c in census.images]
+        records[i] = cache_record(image.n, masks)
+        bad_payloads.append(b"".join(records).hex())
     bad_payloads += [payload + "0", payload[:-1], payload + "zz", "[3,1]",
                      [[c.n, *c.masks] for c in census.images], {"a": payload}, 7, None]
     bad_codes = [dict(good, images=p) for p in bad_payloads]
@@ -280,6 +298,83 @@ def test_cache_recovers_from_corruption(tmp_path):
         assert list(tmp_path.iterdir()) == [path]  # no temporary file left
 
 
+def test_entry_reader_refuses_what_the_reference_refuses():
+    # Valid entries and byte-level faults: a truncated payload, a record's
+    # n byte or word count changed, a record holding 2**n at n = 9 and 17,
+    # or the widest mask its width holds at n = 8, 16 and 64, where 2**n
+    # does not fit, and a record with two masks swapped or one repeated.
+    # The reader refuses exactly what the reference refuses, and otherwise
+    # gives the reference's codes in its order.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sizes = st.sampled_from([0, 1, 5, 8, 9, 16, 17, 33, 64])
+    codes = sizes.flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.integers(0, (1 << n) - 1), max_size=6).map(sorted)))
+
+    @st.composite
+    def entries(draw):
+        images = draw(st.lists(codes, min_size=1, max_size=6))
+        k = draw(st.integers(0, len(images) - 1))
+        records = [cache_record(n, masks) for n, masks in images]
+        r = draw(st.integers(0, len(records) - 1))
+        fault = draw(st.sampled_from(["none", "truncate", "n", "count", "mask", "order"]))
+        if fault == "truncate":
+            payload = b"".join(records)
+            payload = payload[:draw(st.integers(0, len(payload) - 1))]
+        else:
+            record = bytearray(records[r])
+            if fault == "n":
+                record[4] = draw(st.integers(0, 255))
+            elif fault == "count":
+                count = draw(st.integers(0, 12) | st.integers(0, (1 << 32) - 1))
+                record[:4] = count.to_bytes(4, "big")
+            elif fault == "mask":
+                n = draw(st.sampled_from([8, 9, 16, 17, 64]))
+                top = min(1 << n, (1 << 8 * -(-n // 8)) - 1)
+                record = cache_record(n, [*sorted(draw(st.sets(st.integers(0, (1 << n) - 2),
+                                                               max_size=4))), top])
+            elif fault == "order":
+                # Two masks swapped, or one repeated and counted twice.
+                n = draw(sizes)
+                masks = sorted(draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1,
+                                            max_size=6)))
+                a = draw(st.integers(0, len(masks) - 1))
+                b = draw(st.integers(0, len(masks) - 1))
+                if a == b:
+                    masks.insert(a, masks[a])
+                else:
+                    masks[a], masks[b] = masks[b], masks[a]
+                record = cache_record(n, masks)
+            records[r] = bytes(record)
+            payload = b"".join(records)
+        n, masks = images[k]
+        obj = {"source": k, "source_witness": list(range(1, n + 1)), "images": payload.hex(),
+               "stats": {"explored": 1, "pruned": 0, "wall_time": 0.5}}
+        return obj, Code(n, masks)
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(entries())
+    def check(case):
+        obj, source = case
+        try:
+            code, want = entry_codes_by_loop(obj)
+            if code != source:
+                want = None
+        except ValueError:
+            want = None
+        try:
+            records, _ = enumeration._entry_records(obj, source)
+        except ValueError:
+            assert want is None
+        else:
+            assert want is not None
+            got = [enumeration._decoded(r) for r in records]
+            assert got == want
+            assert [c.masks for c in got] == [c.masks for c in want]
+
+    check()
+
+
 def test_cache_refuses_a_bool_source_index(tmp_path):
     # The census of {1,0} is {0} and itself, so the source's index is 1,
     # which the bool true would name if the reader took it for an int.
@@ -299,6 +394,30 @@ def test_cache_hit_keeps_its_own_inputs_witness(tmp_path):
     assert cached_enumerate(relabeled, tmp_path).source == canonical_form(relabeled)
 
 
+@pytest.mark.parametrize("lookup", ["cached_enumerate", "image_set_difference"])
+def test_cache_entry_deleted_before_its_read_is_a_miss(tmp_path, monkeypatch, lookup):
+    # An entry deleted after the lookup names its file and before the file
+    # is read, as old entries may be, is recomputed and written again.
+    cached_enumerate(C5, tmp_path)
+    (path,) = tmp_path.glob("images-*.json")
+    intact = path.read_text()
+    read_text = Path.read_text
+
+    def deleted_first(file, *args, **kwargs):
+        file.unlink(missing_ok=True)
+        return read_text(file, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", deleted_first)
+    if lookup == "cached_enumerate":
+        assert cached_enumerate(C5, tmp_path).images == enumerate_reduced_images(C5).images
+    else:
+        assert (image_set_difference(D5, [C5], cache_dir=tmp_path)
+                == image_set_difference(D5, [C5]))
+    monkeypatch.undo()
+    rewritten = json.loads(path.read_text())
+    assert rewritten == dict(json.loads(intact), stats=rewritten["stats"])
+
+
 def code_texts(codes) -> list[str]:
     """format_code of each code, in the compact style up to 9 neurons and
     in the JSON style above, where the compact one has no spelling."""
@@ -314,7 +433,8 @@ def test_cache_entry_and_hit_match_the_uncached_census(tmp_path):
         reference = enumerate_reduced_images(code)
         miss = cached_enumerate(code, tmp_path / name)
         (path,) = (tmp_path / name).glob("images-*.json")
-        assert path.read_text() == cache_entry(miss) == enumeration._entry_text(miss)
+        records = [enumeration._record(c) for c in miss.images]
+        assert path.read_text() == cache_entry(miss) == enumeration._entry_text(miss, records)
         relabeled = Code(code.n, [[code.n + 1 - i for i in w] for w in code.words])
         for again in (code, relabeled):
             hit = cached_enumerate(again, tmp_path / name)
@@ -369,6 +489,22 @@ def test_cold_cache_lookup_labels_its_source_once(tmp_path, monkeypatch):
     assert hit == miss
 
 
+def file_reads(monkeypatch) -> list[Path]:
+    """The paths Path.read_text reads from now on, in order.  A missing
+    file, which a cache lookup tries to read and takes for a miss, is not
+    read and not listed."""
+    reads = []
+    read_text = Path.read_text
+
+    def read(path, *args, **kwargs):
+        text = read_text(path, *args, **kwargs)
+        reads.append(path)
+        return text
+
+    monkeypatch.setattr(Path, "read_text", read)
+    return reads
+
+
 def test_cache_never_reads_an_older_format(tmp_path, monkeypatch):
     # An intact entry of the previous format, codecat-images-3, under the
     # name that format gave it, is neither read nor overwritten: the call
@@ -382,10 +518,7 @@ def test_cache_never_reads_an_older_format(tmp_path, monkeypatch):
                                images=[[c.n, *c.masks] for c in reference.images]),
                           separators=(",", ":"))
     old.write_text(old_text)
-    reads = []
-    read_text = Path.read_text
-    monkeypatch.setattr(Path, "read_text",
-                        lambda path, *a, **kw: reads.append(path) or read_text(path, *a, **kw))
+    reads = file_reads(monkeypatch)
     out = cached_enumerate(C5, tmp_path)
     assert reads == []
     assert out.images == reference.images
@@ -435,22 +568,28 @@ def difference_calls(seed: int) -> list[tuple[Code, list[Code]]]:
 
 
 @pytest.mark.parametrize("seed", [17, 18])
-def test_cached_difference_equals_uncached_cold_and_warm(tmp_path, seed):
+def test_cached_difference_equals_uncached_cold_and_warm(tmp_path, monkeypatch, seed):
+    builds = count_code_builds(monkeypatch)
     for i, (target, baselines) in enumerate(difference_calls(seed)):
         want = image_set_difference(target, baselines)
         assert want == difference_by_censuses(
             target, baselines, lambda code: enumerate_reduced_images(code).images)
         cold = tmp_path / f"cold-{i}"
         assert image_set_difference(target, baselines, cache_dir=cold) == want
+        # Warm, the call builds the canonical form of each code it names,
+        # as a lookup's key, and then a code only for each image it returns.
+        builds.clear()
+        for code in [target, *baselines]:
+            canonical_form(code)
+        keys = len(builds)
+        builds.clear()
         assert image_set_difference(target, baselines, cache_dir=cold) == want
+        assert len(builds) == keys + len(want)
         assert image_set_difference(target, baselines, cache_dir=tmp_path / "warm") == want
 
 
 def test_each_entry_is_read_at_most_once_per_call(tmp_path, monkeypatch):
-    reads = []
-    read_text = Path.read_text
-    monkeypatch.setattr(Path, "read_text",
-                        lambda path, *a, **kw: reads.append(path) or read_text(path, *a, **kw))
+    reads = file_reads(monkeypatch)
     names_twice = [random_relabelling(random.Random(5), DF), DF, CF]
     want = image_set_difference(CF, names_twice)
     # Cold: the two misses write the CF and DF entries and read none, and
@@ -506,6 +645,20 @@ def count_calls(monkeypatch, name):
 
     monkeypatch.setattr(enumeration, name, counted)
     return calls
+
+
+def count_code_builds(monkeypatch) -> list[int]:
+    """The n of each code built through Code._of_checked_masks from now
+    on, which every code built without Code's checks goes through."""
+    builds = []
+    real = Code._of_checked_masks.__func__
+
+    def counted(cls, n, masks):
+        builds.append(n)
+        return real(cls, n, masks)
+
+    monkeypatch.setattr(Code, "_of_checked_masks", classmethod(counted))
+    return builds
 
 
 def test_membership_walk_stops_at_target_size(monkeypatch):
