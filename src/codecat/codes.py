@@ -54,6 +54,14 @@ def word_mask(word: Iterable[int] | int, n: int | None = None) -> int:
     return mask
 
 
+def _neuron_index(i) -> int:
+    """i, when word_mask would take its type for a neuron index: an int, an
+    IntEnum too, but not a bool.  ValueError otherwise."""
+    if isinstance(i, int) and not isinstance(i, bool):
+        return i
+    raise ValueError(f"neuron index must be a positive int, got {i!r}")
+
+
 def _limit(n: int | None) -> str:
     return f"the cap of {MAX_NEURONS}" if n is None else f"declared n={n}"
 

@@ -45,38 +45,36 @@ images, and verify_image_membership is _cover with the target alone.
 With a cache directory every census stays full, because a miss writes a
 whole entry.
 
-A cached census is one JSON file per canonical form of the source.  Its
-entry stores the images as one hex string of fixed-width records, each a
-code's word count in 4 bytes and then its _label_key, so the labelling cache
-and the cache files share one byte layout; the source is its index in the
-images.  A hit reads the records in one loop, checking that each fits the
-payload, its n, that its masks ascend strictly and the first byte of the
-last, and keeps each record as bytes; an entry that fails a check is
-recomputed.  cached_enumerate then builds each code from its record
-without reading its words again.  A cached image_set_difference builds
-almost none: an entry's records are written from canonical codes and
-checked to be spelled as written, so two are equal exactly when their
-codes are, and the difference is taken on the records, a code being built
-only for each target record that no baseline census holds.  Its lookups
-share a dict of the records already read or computed (cached_enumerate's
-_entries), so each entry is read at most once per call, and a miss keeps
-the records its entry was written from; nothing of it outlives the call.
+A cached census is one binary file per canonical form of the source, named
+by a hash of the source's record.  The entry is a fixed head (the census's
+explored and pruned counts, its wall time and the source's index among the
+records) and then the images' records, each a code's word count in 4 bytes
+and then its _label_key, so the labelling cache and the cache files share
+one byte layout.  A hit checks the head and reads the records in one loop,
+checking that each fits the entry, its n, that its masks ascend strictly and
+the first byte of the last, and keeps each record as bytes; an entry that
+fails a check is recomputed.  cached_enumerate then builds each code from
+its record without reading its words again.  A cached image_set_difference
+builds almost none: an entry's records are written from canonical codes and
+checked to be spelled as written, so two are equal exactly when their codes
+are, and the difference is taken on the records, a code being built only for
+each target record that no baseline census holds.  Its lookups share a dict
+of the records already read or computed (cached_enumerate's _entries), so
+each entry is read at most once per call, and a miss keeps the records its
+entry was written from; nothing of it outlives the call.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 import os
 import struct
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .codes import (MAX_NEURONS, Code, _json_list, code_to_obj, format_code, parse_code,
-                    read_json)
+from .codes import MAX_NEURONS, Code, _json_list, code_to_obj, parse_code
 from .exceptions import DEFAULT_TRUNK_CAP, _check_cap
 from .morphisms import Morphism
 from .reduction import CanonicalForm, _min_relabeling, canonical_form
@@ -85,7 +83,10 @@ from .trunks import (_bit_indices, _generator, _index_trunks, _simple_index_mask
 
 # Part of every cache file's name: a new format or canonical engine gets a
 # new version, so entries of an older one are never read (nor overwritten).
-_CACHE_FORMAT = "codecat-images-4"
+_CACHE_FORMAT = b"codecat-images-5"
+# The head of a cache entry: the census's explored and pruned counts, its
+# wall time and the source's index among the records that follow.
+_ENTRY_HEAD = struct.Struct(">QQdI")
 # The head of a cache record: its word count and n.
 _RECORD_HEAD = struct.Struct(">IB")
 
@@ -430,19 +431,19 @@ def default_cache_dir() -> Path:
     return base / "codecat"
 
 
-def _image_set_obj(s: ImageSet, source, images) -> dict:
+def image_set_to_obj(s: ImageSet) -> dict:
     return {
-        "source": source,
+        "source": code_to_obj(s.source.code),
         "source_witness": list(s.source.witness),
-        "images": images,
+        "images": [code_to_obj(c) for c in s.images],
         "stats": {"explored": s.stats.explored, "pruned": s.stats.pruned,
                   "wall_time": s.stats.wall_time},
     }
 
 
-def _checked_stats(obj: dict) -> EnumerationStats:
-    """The stats obj holds as _image_set_obj spells them; ValueError,
-    KeyError or TypeError for malformed ones."""
+def image_set_from_obj(obj: dict) -> ImageSet:
+    """The ImageSet obj spells as image_set_to_obj does; ValueError, KeyError
+    or TypeError for a malformed one."""
     st = obj["stats"]
     stats = EnumerationStats(st["explored"], st["pruned"], st["wall_time"])
     wall = stats.wall_time
@@ -450,26 +451,12 @@ def _checked_stats(obj: dict) -> EnumerationStats:
             and type(wall) in (int, float) and 0 <= wall < math.inf):
         raise ValueError("enumeration stats must be two counts and a finite "
                          f"time, none negative, got {st!r}")
-    return stats
-
-
-def _checked_witness(obj: dict, n: int) -> tuple[int, ...]:
-    """The source witness obj holds, which must be a permutation of 1..n."""
-    witness = _json_list(obj["source_witness"], '"source_witness"')
-    if not all(type(i) is int for i in witness) or sorted(witness) != list(range(1, n + 1)):
-        raise ValueError(f'"source_witness" must be a permutation of 1..{n}')
-    return tuple(witness)
-
-
-def image_set_to_obj(s: ImageSet) -> dict:
-    return _image_set_obj(s, code_to_obj(s.source.code), [code_to_obj(c) for c in s.images])
-
-
-def image_set_from_obj(obj: dict) -> ImageSet:
-    stats = _checked_stats(obj)
     code, *images = [parse_code(o) for o in [obj["source"],
                                              *_json_list(obj["images"], '"images"')]]
-    return ImageSet(CanonicalForm(code, _checked_witness(obj, code.n)), tuple(images), stats)
+    witness = _json_list(obj["source_witness"], '"source_witness"')
+    if not all(type(i) is int for i in witness) or sorted(witness) != list(range(1, code.n + 1)):
+        raise ValueError(f'"source_witness" must be a permutation of 1..{code.n}')
+    return ImageSet(CanonicalForm(code, tuple(witness)), tuple(images), stats)
 
 
 def _record(c: Code) -> bytes:
@@ -489,35 +476,37 @@ def _decoded(record: bytes) -> Code:
                                       for j in range(5, len(record), width)})
 
 
-def _entry_text(s: ImageSet, records: list[bytes]) -> str:
-    """The cache entry of a census whose images have the given records:
-    image_set_to_obj's keys, with the source as its index in the images and
-    the images as the hex of their records, in census order."""
-    return json.dumps(_image_set_obj(s, s.images.index(s.source.code), b"".join(records).hex()),
-                      separators=(",", ":"))
+def _entry_bytes(s: ImageSet, records: list[bytes]) -> bytes:
+    """The cache entry of a census whose images have the given records: the
+    _ENTRY_HEAD of its stats and the source's index in the images, then the
+    records in census order."""
+    head = _ENTRY_HEAD.pack(s.stats.explored, s.stats.pruned, s.stats.wall_time,
+                            s.images.index(s.source.code))
+    return head + b"".join(records)
 
 
-def _entry_records(obj: dict, source: Code) -> tuple[list[bytes], EnumerationStats]:
-    """The records and stats of a cache entry obj of source's census.
+def _entry_records(data: bytes, source: bytes) -> tuple[list[bytes], EnumerationStats]:
+    """The records and stats of the cache entry data of the census whose
+    source has the record source.
 
     Each record is checked as Code checks its words and as _record writes
-    them: it fits in the payload, n is in 0..MAX_NEURONS and the masks are
-    strictly ascending, the last below 2**n.  The source index must name
-    source's own record, and the stats and witness are checked as
-    image_set_from_obj checks them.  Anything else raises ValueError or
-    KeyError, or TypeError for a payload that is not a string."""
-    stats = _checked_stats(obj)
-    data, k = bytes.fromhex(obj["images"]), obj["source"]
+    them: it fits in the entry, n is in 0..MAX_NEURONS and the masks are
+    strictly ascending, the last below 2**n.  The wall time must be finite
+    and not negative, and the source index must name source.  Anything else
+    raises ValueError, or struct.error for an entry shorter than its head."""
+    explored, pruned, wall, k = _ENTRY_HEAD.unpack_from(data)
+    if not 0 <= wall < math.inf:
+        raise ValueError(f"a cache entry's wall time must be finite, not negative, got {wall}")
     records, head = [], _RECORD_HEAD.unpack_from
     # The one-byte masks of every record, each record's run of them without
     # its last (lows) and without its first (highs): they ascend strictly
     # when every low is below the high beside it.
     lows, highs = [], []
-    i, end = 0, len(data)
+    i, end = _ENTRY_HEAD.size, len(data)
     while i < end:
         start = i + 5
         if start > end:
-            raise ValueError("a cache entry's images must not end in a partial record")
+            raise ValueError("a cache entry must not end in a partial record")
         count, n = head(data, i)
         width = (n + 7) // 8 or 1
         j = start + count * width
@@ -540,28 +529,27 @@ def _entry_records(obj: dict, source: Code) -> tuple[list[bytes], EnumerationSta
         i = j
     if not all(map(operator.lt, b"".join(lows), b"".join(highs))):
         raise ValueError("a cached code's masks must be strictly ascending")
-    if type(k) is not int or not 0 <= k < len(records) or records[k] != _record(source):
-        raise ValueError('a cache entry\'s "source" must index its source among its images')
-    # The stored witness belongs to whichever presentation wrote the entry,
-    # so it is only checked: each lookup keeps its own input's witness.
-    _checked_witness(obj, source.n)
-    return records, stats
+    if k >= len(records) or records[k] != source:
+        raise ValueError("a cache entry's source index must name its source's record")
+    return records, EnumerationStats(explored, pruned, wall)
 
 
 def cached_enumerate(code: Code, cache_dir: Path | str, *, jobs: int = 1,
                      max_trunks: int | None = DEFAULT_TRUNK_CAP,
                      _labels: dict | None = None, _entries: dict | None = None
                      ) -> ImageSet | list[bytes]:
-    """enumerate_reduced_images backed by a directory of JSON results keyed
-    by the canonical form of the source, so isomorphic inputs share work.
+    """enumerate_reduced_images backed by a directory of binary entries
+    named by the canonical form of the source, so isomorphic inputs share
+    work.
 
-    An entry stores the images as one hex string of records (see _record)
-    and the source as its index in them.  A hit checks every record (it
-    fits the payload, n in 0..MAX_NEURONS, masks strictly ascending and
-    below 2**n) and then builds each code from its record, reading no word
+    An entry is the _ENTRY_HEAD of the census's stats and the source's
+    index, then the records (see _record) of its images; the file name is a
+    hash of the source's record.  A hit checks the head (a finite wall time,
+    not negative, and an index naming the source's record) and every record
+    (it fits the entry, n in 0..MAX_NEURONS, masks strictly ascending and
+    below 2**n), and then builds each code from its record, reading no word
     again.  An entry that is gone when it is read is a miss; one that fails
-    a check, or is not the census of this code's canonical form, is
-    recomputed and overwritten.
+    a check is recomputed and overwritten.
 
     _labels is the labelling cache a miss's census uses, and _entries maps
     canonical sources to the records and stats already read or computed,
@@ -576,11 +564,11 @@ def cached_enumerate(code: Code, cache_dir: Path | str, *, jobs: int = 1,
     if known is None:
         cdir = Path(cache_dir)
         import hashlib  # only cache file names need it; a plain census never loads it
-        key = f"{_CACHE_FORMAT}\n{format_code(source.code, 'json')}"
-        path = cdir / f"images-{hashlib.sha256(key.encode()).hexdigest()[:32]}.json"
+        own = _record(source.code)
+        path = cdir / f"images-{hashlib.sha256(_CACHE_FORMAT + own).hexdigest()[:32]}.bin"
         try:
-            known = _entry_records(read_json(path.read_text()), source.code)
-        except (FileNotFoundError, ValueError, KeyError, TypeError):
+            known = _entry_records(path.read_bytes(), own)
+        except (FileNotFoundError, ValueError, struct.error):
             # No entry (one deleted since its name was formed is none
             # either), or a bad one: recompute and overwrite it.
             known = None
@@ -589,12 +577,13 @@ def cached_enumerate(code: Code, cache_dir: Path | str, *, jobs: int = 1,
                                               _source=source)
             known = [_record(c) for c in census.images], census.stats
             cdir.mkdir(parents=True, exist_ok=True)
+            import tempfile  # only a miss writes; it loads shutil and random too
             # A temporary file of its own per writer, so concurrent runs
             # never interleave their bytes; os.replace publishes it whole.
             fd, tmp = tempfile.mkstemp(prefix=f"{path.stem}.", suffix=".tmp", dir=cdir)
             try:
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(_entry_text(census, known[0]))
+                with os.fdopen(fd, "wb") as fh:
+                    fh.write(_entry_bytes(census, known[0]))
                 os.replace(tmp, path)
             except BaseException:
                 os.unlink(tmp)

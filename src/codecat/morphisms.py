@@ -13,8 +13,8 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
-from .codes import (Code, _json_list, _word_key, code_to_obj, mask_members, parse_code,
-                    word_mask)
+from .codes import (Code, _json_list, _neuron_index, _word_key, code_to_obj, mask_members,
+                    parse_code, word_mask)
 from .trunks import Trunk, is_trunk, trunk_of
 
 
@@ -186,7 +186,7 @@ def union_morphism(code: Code, gamma: Iterable[int]) -> ExplicitMap:
 
 def permutation_morphism(code: Code, perm: Iterable[int]) -> ExplicitMap:
     """Relabel neurons by a bijection of 1..n; perm[i-1] is the new label of i."""
-    p = tuple(perm)
+    p = tuple(map(_neuron_index, perm))
     if sorted(p) != list(range(1, code.n + 1)):
         raise ValueError(f"{p} is not a permutation of 1..{code.n}")
     def relabel(mask: int) -> int:

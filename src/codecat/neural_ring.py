@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .codes import Code, mask_members, word_mask
+from .codes import Code, _neuron_index, mask_members, word_mask
 from .morphisms import Morphism
 from .trunks import Trunk, trunk_of
 
@@ -65,7 +65,7 @@ class RingElement:
 
 def coordinate(code: Code, i: int) -> RingElement:
     """x_i: the value of neuron i."""
-    if not 1 <= i <= code.n:
+    if not 1 <= _neuron_index(i) <= code.n:
         raise ValueError(f"neuron index {i} out of range 1..{code.n}")
     return RingElement(code, trunk_of(code, 1 << (i - 1)).member_masks)
 
@@ -113,7 +113,7 @@ class MonomialMap:
 
     def coordinate_image(self, j: int) -> RingElement:
         """The image of y_j in R_to."""
-        if not 1 <= j <= self.from_code.n:
+        if not 1 <= _neuron_index(j) <= self.from_code.n:
             raise ValueError(f"coordinate index {j} out of range")
         s = self.assignment[j - 1]
         if s is None:

@@ -2,16 +2,17 @@
 failures replay exactly."""
 
 import itertools
-import json
+import math
 import os
 import random
+import struct
 import subprocess
 import sys
 from collections.abc import Collection
 from pathlib import Path
 
-from codecat import (Code, Morphism, ResourceCapError, Trunk, canonical_form,
-                     image_set_to_obj, simple_trunks, topology, trunk_of)
+from codecat import (Code, Morphism, ResourceCapError, Trunk, canonical_form, simple_trunks,
+                     topology, trunk_of)
 from codecat.codes import MAX_NEURONS, mask_members
 from codecat.enumeration import _canonical_of_reduced_masks, _index_pool, _walk
 from codecat.reduction import DEFAULT_MAX_NODES, ReductionResult
@@ -280,29 +281,37 @@ def cache_record(n: int, masks, count: int | None = None) -> bytes:
             + b"".join(w.to_bytes(width, "big") for w in masks))
 
 
-def cache_entry(census) -> str:
+def cache_entry(census, index: int | None = None) -> bytes:
     """The cache entry of census, spelled out without the library's
-    encoder: image_set_to_obj's keys, no spaces, with the source as its
-    index among the images and the images as the hex of their records, in
-    census order, each with its masks ascending.  Reference for
-    enumeration._entry_text."""
-    obj = dict(image_set_to_obj(census), source=census.images.index(census.source.code),
-               images=b"".join(cache_record(c.n, sorted(c.masks)) for c in census.images).hex())
-    return json.dumps(obj, separators=(",", ":"))
+    encoder: a 28-byte head of the explored and pruned counts in 8 bytes
+    each, the wall time as an 8-byte IEEE double and the source's index
+    among the images (or index, if given) in 4 bytes, all big-endian; then
+    the images' records in census order, each with its masks ascending.
+    Reference for enumeration._entry_bytes."""
+    stats = census.stats
+    k = census.images.index(census.source.code) if index is None else index
+    return (stats.explored.to_bytes(8, "big") + stats.pruned.to_bytes(8, "big")
+            + struct.pack(">d", stats.wall_time) + k.to_bytes(4, "big")
+            + b"".join(cache_record(c.n, sorted(c.masks)) for c in census.images))
 
 
-def entry_codes_by_loop(obj: dict) -> tuple[Code, list[Code]]:
-    """The source and images of a cache entry obj, each code built as it is
-    read from the payload: it must fit in the payload, n must be in
-    0..MAX_NEURONS and every mask in 0..2**n - 1, each mask read whole as
-    an int, the masks strictly ascending, and the source must be a plain
-    int indexing the images.  ValueError otherwise, or TypeError for a
-    payload that is not a string.  Reference for
-    enumeration._entry_records, which checks only the first byte of the
-    last mask, compares the masks as bytes and builds no code."""
-    data, k = bytes.fromhex(obj["images"]), obj["source"]
+def entry_codes_by_loop(data: bytes) -> tuple[Code, list[Code], tuple[int, int, float]]:
+    """The source, images and (explored, pruned, wall time) of the cache
+    entry data, each code built as it is read from the records: the head
+    must be whole, the wall time finite and not negative, each record must
+    fit in the entry, n must be in 0..MAX_NEURONS and every mask in
+    0..2**n - 1, each mask read whole as an int, the masks strictly
+    ascending, and the index must name an image.  ValueError otherwise.
+    Reference for enumeration._entry_records, which checks only the first
+    byte of the last mask, compares the masks as bytes and builds no
+    code."""
+    if len(data) < 28:
+        raise ValueError("short head")
+    (wall,) = struct.unpack(">d", data[16:24])
+    if not (math.isfinite(wall) and wall >= 0):
+        raise ValueError("wall time")
     images = []
-    i, end = 0, len(data)
+    i, end = 28, len(data)
     while i < end:
         start = i + 5
         if start > end:
@@ -311,16 +320,18 @@ def entry_codes_by_loop(obj: dict) -> tuple[Code, list[Code]]:
         width = max(1, -(-n // 8))
         i = start + int.from_bytes(data[i:i + 4], "big") * width
         if i > end or n > MAX_NEURONS:
-            raise ValueError("record past the payload, or n too large")
+            raise ValueError("record past the entry, or n too large")
         masks = [int.from_bytes(data[j:j + width], "big") for j in range(start, i, width)]
         if any(w >> n for w in masks):
             raise ValueError("mask beyond n")
         if any(a >= b for a, b in zip(masks, masks[1:])):
             raise ValueError("masks not strictly ascending")
         images.append(Code(n, masks))
-    if type(k) is not int or not 0 <= k < len(images):
+    k = int.from_bytes(data[24:28], "big")
+    if k >= len(images):
         raise ValueError("source index")
-    return images[k], images
+    stats = int.from_bytes(data[:8], "big"), int.from_bytes(data[8:16], "big"), wall
+    return images[k], images, stats
 
 
 def difference_by_censuses(target: Code, baselines: list[Code], census) -> tuple[Code, ...]:

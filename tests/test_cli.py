@@ -223,7 +223,7 @@ def test_images_cache_flag(tmp_path, capsys):
     rc, first, _ = run(capsys, "images", "{12,23,1,3,0}",
                        "--cache", str(tmp_path))
     assert rc == 0
-    assert len(list(tmp_path.glob("images-*.json"))) == 1
+    assert len(list(tmp_path.glob("images-*.bin"))) == 1
     rc, second, _ = run(capsys, "images", "{12,23,1,3,0}",
                         "--cache", str(tmp_path))
     assert second == first
@@ -232,12 +232,12 @@ def test_images_cache_flag(tmp_path, capsys):
 def test_images_cache_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CODECAT_CACHE_DIR", str(tmp_path))
     assert run(capsys, "images", "{12,23,1,3,0}")[0] == 0
-    assert len(list(tmp_path.glob("images-*.json"))) == 1
+    assert len(list(tmp_path.glob("images-*.bin"))) == 1
     # --no-cache must leave the directory alone
-    for f in tmp_path.glob("images-*.json"):
+    for f in tmp_path.glob("images-*.bin"):
         f.unlink()
     assert run(capsys, "images", "{12,23,1,3,0}", "--no-cache")[0] == 0
-    assert list(tmp_path.glob("images-*.json")) == []
+    assert list(tmp_path.glob("images-*.bin")) == []
 
 
 def test_diff_images(capsys):

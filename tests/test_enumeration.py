@@ -2,8 +2,10 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -208,7 +210,7 @@ def test_image_set_from_obj_rejects_a_bad_witness(witness):
 
 def test_cache_roundtrip(tmp_path):
     first = cached_enumerate(C5, tmp_path)
-    files = list(tmp_path.glob("images-*.json"))
+    files = list(tmp_path.glob("images-*.bin"))
     assert len(files) == 1
     second = cached_enumerate(C5, tmp_path)
     assert second.images == first.images
@@ -222,38 +224,53 @@ def test_cache_roundtrip(tmp_path):
     assert is_isomorphic(relabeled, C5)
     third = cached_enumerate(relabeled, tmp_path)
     assert third.images == first.images
-    assert list(tmp_path.glob("images-*.json")) == files
+    assert list(tmp_path.glob("images-*.bin")) == files
 
 
-def corrupted_entries(code: Code, good: dict) -> list[str]:
+def timeless(entry: bytes) -> bytes:
+    """A cache entry with its wall time, head bytes 16 to 24, zeroed: two
+    misses of one census write the same entry but for that."""
+    return entry[:16] + bytes(8) + entry[24:]
+
+
+def with_head(entry: bytes, wall: float | None = None, index: int | None = None) -> bytes:
+    """entry with its wall time or its source index replaced."""
+    if wall is not None:
+        entry = entry[:16] + struct.pack(">d", wall) + entry[24:]
+    if index is not None:
+        entry = entry[:24] + index.to_bytes(4, "big") + entry[28:]
+    return entry
+
+
+def corrupted_entries(code: Code, good: bytes) -> list[bytes]:
     """Damaged spellings of good, the intact cache entry of code, each of
     which a lookup must refuse, recompute and overwrite.  One of them is the
     entry of D5, so code must not be isomorphic to D5."""
     census = enumerate_reduced_images(code)
-    emptied = dict(good, images="")
-    bad_stats = [dict(good, stats=dict(good["stats"], **{field: value}))
-                 for field, value in [("explored", [1]), ("explored", -3),
-                                      ("explored", True), ("explored", 2.0),
-                                      ("pruned", 2.5), ("pruned", -1),
-                                      ("wall_time", "slow"), ("wall_time", -1),
-                                      ("wall_time", False), ("wall_time", float("nan")),
-                                      ("wall_time", float("inf"))]]
-    bad_stats.append(dict(good, stats={"explored": -3, "pruned": 2.5, "wall_time": -1}))
-    other = cache_entry(enumerate_reduced_images(D5))
-    letters = dict(good, source_witness="abc")
-    repeated = dict(good, source_witness=[9, 9, 9])
-    # Faults in the payload.  Bytes cannot spell a negative, bool or nested
+    assert good == with_head(cache_entry(census), wall=struct.unpack(">d", good[16:24])[0])
+    head = good[:28]
+    # Faults in the head: too short for one, with no record after it, a
+    # wall time that is not a finite time, and a source index out of range
+    # or naming an image that is not the source, one of them on as many
+    # neurons, so that only the compare with the source refuses it.
+    k, n = census.images.index(census.source.code), census.source.code.n
+    assert k > 0
+    twin = next(i for i, c in enumerate(census.images) if c.n == n and i != k)
+    bad_heads = [b"", head[:10], head[:-1], head,
+                 *[with_head(good, wall=w) for w in [math.nan, math.inf, -math.inf, -1.0,
+                                                     -5e-324]],
+                 *[with_head(good, index=i) for i in [len(census.images), (1 << 32) - 1,
+                                                     0, twin]]]
+    # Faults in the records.  Bytes cannot spell a negative, bool or nested
     # mask, so the faults are in the framing, n and the mask range.  Each
     # bad tail follows the intact records, so the source index still names
     # the source and the record reader itself must refuse the entry.
-    payload = good["images"]
-    assert payload == json.loads(cache_entry(census))["images"]
     bad_tails = [b"\0", bytes(4), cache_record(3, [1], count=2),
                  cache_record(3, [], count=1), cache_record(10, [1, 2])[:-1],
                  cache_record(65, []), cache_record(65, [1]), cache_record(3, [8]),
                  cache_record(3, [1, 9]), cache_record(10, [1 << 10]),
                  cache_record(9, [1, 1 << 9])]
-    bad_payloads = [payload + tail.hex() for tail in bad_tails]
+    bad_records = [good + tail for tail in bad_tails] + [good[:-1]]
     # An image D5 has too, not the source, spelled with two masks swapped,
     # or with a mask twice and its count raised by one: the record no
     # longer equals the one its code writes, so a difference comparing
@@ -263,48 +280,38 @@ def corrupted_entries(code: Code, good: dict) -> list[str]:
                     if c in shared and len(c) >= 3 and c != census.source.code)
     low, high, *rest = sorted(image.masks)
     for masks in [[high, low, *rest], [low, low, high, *rest]]:
-        records = [cache_record(c.n, sorted(c.masks)) for c in census.images]
-        records[i] = cache_record(image.n, masks)
-        bad_payloads.append(b"".join(records).hex())
-    bad_payloads += [payload + "0", payload[:-1], payload + "zz", "[3,1]",
-                     [[c.n, *c.masks] for c in census.images], {"a": payload}, 7, None]
-    bad_codes = [dict(good, images=p) for p in bad_payloads]
-    # Faults in the source index: out of range, not a plain int, or naming
-    # an image that is not the source, one of them on as many neurons, so
-    # that only the compare with the source refuses it.
-    source, n = good["source"], census.source.code.n
-    assert census.images[source] == census.source.code and source > 0
-    twin = next(i for i, c in enumerate(census.images) if c.n == n and i != source)
-    bad_codes += [dict(good, source=k)
-                  for k in [len(census.images), source - len(census.images), True,
-                            float(source), str(source), None,
-                            [n, *census.source.code.masks], {"n": 3, "words": [[1], []]},
-                            0, twin]]
-    bad_codes.append(image_set_to_obj(census))
-    return ["{ not json", "[1,2]", "null", '"text"', "7",
-            json.dumps(emptied), other, *map(json.dumps, bad_stats),
-            json.dumps(letters), json.dumps(repeated), *map(json.dumps, bad_codes),
-            "[" * 50000]
+        spelled = [cache_record(c.n, sorted(c.masks)) for c in census.images]
+        spelled[i] = cache_record(image.n, masks)
+        bad_records.append(head + b"".join(spelled))
+    # Another class's entry, and this census in the public JSON document,
+    # under this entry's name.
+    other = cache_entry(enumerate_reduced_images(D5))
+    document = json.dumps(image_set_to_obj(census)).encode()
+    return [*bad_heads, *bad_records, other, document]
 
 
 def test_cache_recovers_from_corruption(tmp_path):
     cached_enumerate(C5, tmp_path)
-    (path,) = tmp_path.glob("images-*.json")
-    for entry in corrupted_entries(C5, json.loads(path.read_text())):
-        path.write_text(entry)
+    (path,) = tmp_path.glob("images-*.bin")
+    want = timeless(cache_entry(enumerate_reduced_images(C5)))
+    for entry in corrupted_entries(C5, path.read_bytes()):
+        path.write_bytes(entry)
         again = cached_enumerate(C5, tmp_path)
         assert again.images == enumerate_reduced_images(C5).images
-        assert path.read_text() != entry and json.loads(path.read_text())  # rewritten cleanly
+        assert path.read_bytes() != entry  # recomputed and rewritten
+        assert timeless(path.read_bytes()) == want
         assert list(tmp_path.iterdir()) == [path]  # no temporary file left
 
 
 def test_entry_reader_refuses_what_the_reference_refuses():
-    # Valid entries and byte-level faults: a truncated payload, a record's
-    # n byte or word count changed, a record holding 2**n at n = 9 and 17,
-    # or the widest mask its width holds at n = 8, 16 and 64, where 2**n
-    # does not fit, and a record with two masks swapped or one repeated.
-    # The reader refuses exactly what the reference refuses, and otherwise
-    # gives the reference's codes in its order.
+    # Valid entries and faults: an entry truncated anywhere, the head's
+    # included, a wall time that is NaN, infinite or negative, a source
+    # index anywhere in 0..2**32 - 1, a record's n byte or word count
+    # changed, a record holding 2**n at n = 9 and 17, or the widest mask
+    # its width holds at n = 8, 16 and 64, where 2**n does not fit, and a
+    # record with two masks swapped or one repeated.  The reader refuses
+    # exactly what the reference refuses, and otherwise gives the
+    # reference's codes in its order and its stats.
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     sizes = st.sampled_from([0, 1, 5, 8, 9, 16, 17, 33, 64])
@@ -317,75 +324,64 @@ def test_entry_reader_refuses_what_the_reference_refuses():
         k = draw(st.integers(0, len(images) - 1))
         records = [cache_record(n, masks) for n, masks in images]
         r = draw(st.integers(0, len(records) - 1))
-        fault = draw(st.sampled_from(["none", "truncate", "n", "count", "mask", "order"]))
-        if fault == "truncate":
-            payload = b"".join(records)
-            payload = payload[:draw(st.integers(0, len(payload) - 1))]
-        else:
-            record = bytearray(records[r])
-            if fault == "n":
-                record[4] = draw(st.integers(0, 255))
-            elif fault == "count":
-                count = draw(st.integers(0, 12) | st.integers(0, (1 << 32) - 1))
-                record[:4] = count.to_bytes(4, "big")
-            elif fault == "mask":
-                n = draw(st.sampled_from([8, 9, 16, 17, 64]))
-                top = min(1 << n, (1 << 8 * -(-n // 8)) - 1)
-                record = cache_record(n, [*sorted(draw(st.sets(st.integers(0, (1 << n) - 2),
+        index, wall = k, draw(st.floats(0, 1e9))
+        fault = draw(st.sampled_from(["none", "truncate", "wall", "index", "n", "count",
+                                      "mask", "order"]))
+        if fault == "wall":
+            wall = draw(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, -5e-324, -1.0]))
+        elif fault == "index":
+            index = draw(st.integers(0, len(images)) | st.integers(0, (1 << 32) - 1))
+        elif fault == "n":
+            records[r] = bytes([*records[r][:4], draw(st.integers(0, 255)), *records[r][5:]])
+        elif fault == "count":
+            count = draw(st.integers(0, 12) | st.integers(0, (1 << 32) - 1))
+            records[r] = count.to_bytes(4, "big") + records[r][4:]
+        elif fault == "mask":
+            n = draw(st.sampled_from([8, 9, 16, 17, 64]))
+            top = min(1 << n, (1 << 8 * -(-n // 8)) - 1)
+            records[r] = cache_record(n, [*sorted(draw(st.sets(st.integers(0, (1 << n) - 2),
                                                                max_size=4))), top])
-            elif fault == "order":
-                # Two masks swapped, or one repeated and counted twice.
-                n = draw(sizes)
-                masks = sorted(draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1,
-                                            max_size=6)))
-                a = draw(st.integers(0, len(masks) - 1))
-                b = draw(st.integers(0, len(masks) - 1))
-                if a == b:
-                    masks.insert(a, masks[a])
-                else:
-                    masks[a], masks[b] = masks[b], masks[a]
-                record = cache_record(n, masks)
-            records[r] = bytes(record)
-            payload = b"".join(records)
-        n, masks = images[k]
-        obj = {"source": k, "source_witness": list(range(1, n + 1)), "images": payload.hex(),
-               "stats": {"explored": 1, "pruned": 0, "wall_time": 0.5}}
-        return obj, Code(n, masks)
+        elif fault == "order":
+            # Two masks swapped, or one repeated and counted twice.
+            n = draw(sizes)
+            masks = sorted(draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1,
+                                        max_size=6)))
+            a = draw(st.integers(0, len(masks) - 1))
+            b = draw(st.integers(0, len(masks) - 1))
+            if a == b:
+                masks.insert(a, masks[a])
+            else:
+                masks[a], masks[b] = masks[b], masks[a]
+            records[r] = cache_record(n, masks)
+        explored, pruned = draw(st.integers(0, (1 << 64) - 1)), draw(st.integers(0, 12))
+        data = (explored.to_bytes(8, "big") + pruned.to_bytes(8, "big")
+                + struct.pack(">d", wall) + index.to_bytes(4, "big") + b"".join(records))
+        if fault == "truncate":
+            data = data[:draw(st.integers(0, len(data) - 1))]
+        return data, cache_record(*images[k])
 
     @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @hypothesis.given(entries())
     def check(case):
-        obj, source = case
+        data, source = case
         try:
-            code, want = entry_codes_by_loop(obj)
-            if code != source:
+            code, want, stats = entry_codes_by_loop(data)
+            if cache_record(code.n, sorted(code.masks)) != source:
                 want = None
         except ValueError:
             want = None
         try:
-            records, _ = enumeration._entry_records(obj, source)
-        except ValueError:
+            records, got_stats = enumeration._entry_records(data, source)
+        except (ValueError, struct.error):
             assert want is None
         else:
             assert want is not None
             got = [enumeration._decoded(r) for r in records]
             assert got == want
             assert [c.masks for c in got] == [c.masks for c in want]
+            assert got_stats == enumeration.EnumerationStats(*stats)
 
     check()
-
-
-def test_cache_refuses_a_bool_source_index(tmp_path):
-    # The census of {1,0} is {0} and itself, so the source's index is 1,
-    # which the bool true would name if the reader took it for an int.
-    code = Code(1, [[1], []])
-    cached_enumerate(code, tmp_path)
-    (path,) = tmp_path.glob("images-*.json")
-    intact = path.read_text()
-    assert json.loads(intact)["source"] == 1
-    path.write_text(intact.replace('"source":1,', '"source":true,'))
-    assert cached_enumerate(code, tmp_path).images == enumerate_reduced_images(code).images
-    assert path.read_text().startswith('{"source":1,')  # recomputed and rewritten
 
 
 def test_cache_hit_keeps_its_own_inputs_witness(tmp_path):
@@ -399,23 +395,22 @@ def test_cache_entry_deleted_before_its_read_is_a_miss(tmp_path, monkeypatch, lo
     # An entry deleted after the lookup names its file and before the file
     # is read, as old entries may be, is recomputed and written again.
     cached_enumerate(C5, tmp_path)
-    (path,) = tmp_path.glob("images-*.json")
-    intact = path.read_text()
-    read_text = Path.read_text
+    (path,) = tmp_path.glob("images-*.bin")
+    intact = path.read_bytes()
+    read_bytes = Path.read_bytes
 
-    def deleted_first(file, *args, **kwargs):
+    def deleted_first(file):
         file.unlink(missing_ok=True)
-        return read_text(file, *args, **kwargs)
+        return read_bytes(file)
 
-    monkeypatch.setattr(Path, "read_text", deleted_first)
+    monkeypatch.setattr(Path, "read_bytes", deleted_first)
     if lookup == "cached_enumerate":
         assert cached_enumerate(C5, tmp_path).images == enumerate_reduced_images(C5).images
     else:
         assert (image_set_difference(D5, [C5], cache_dir=tmp_path)
                 == image_set_difference(D5, [C5]))
     monkeypatch.undo()
-    rewritten = json.loads(path.read_text())
-    assert rewritten == dict(json.loads(intact), stats=rewritten["stats"])
+    assert timeless(path.read_bytes()) == timeless(intact)
 
 
 def code_texts(codes) -> list[str]:
@@ -432,9 +427,13 @@ def test_cache_entry_and_hit_match_the_uncached_census(tmp_path):
     for name, code in [("CF", CF), ("ten", Code(10, [[i] for i in range(1, 11)]))]:
         reference = enumerate_reduced_images(code)
         miss = cached_enumerate(code, tmp_path / name)
-        (path,) = (tmp_path / name).glob("images-*.json")
+        (path,) = (tmp_path / name).glob("images-*.bin")
         records = [enumeration._record(c) for c in miss.images]
-        assert path.read_text() == cache_entry(miss) == enumeration._entry_text(miss, records)
+        assert path.read_bytes() == cache_entry(miss) == enumeration._entry_bytes(miss, records)
+        # The file is named by the source's record and the format version.
+        source = cache_record(miss.source.code.n, sorted(miss.source.code.masks))
+        key = hashlib.sha256(b"codecat-images-5" + source).hexdigest()[:32]
+        assert path.name == f"images-{key}.bin"
         relabeled = Code(code.n, [[code.n + 1 - i for i in w] for w in code.words])
         for again in (code, relabeled):
             hit = cached_enumerate(again, tmp_path / name)
@@ -460,8 +459,8 @@ def test_cache_round_trips_records_of_every_width(tmp_path, monkeypatch):
     census = enumeration.ImageSet(source, images, enumeration.EnumerationStats(7, 3, 0.5))
     monkeypatch.setattr(enumeration, "enumerate_reduced_images", lambda *a, **kw: census)
     assert cached_enumerate(singletons, tmp_path) == census
-    (path,) = tmp_path.glob("images-*.json")
-    assert path.read_text() == cache_entry(census)
+    (path,) = tmp_path.glob("images-*.bin")
+    assert path.read_bytes() == cache_entry(census)
 
     def no_census(*args, **kwargs):
         raise AssertionError("a warm entry was recomputed")
@@ -483,39 +482,43 @@ def test_cold_cache_lookup_labels_its_source_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     hit = cached_enumerate(DF, tmp_path)
     assert len(calls) == 2
-    (path,) = tmp_path.glob("images-*.json")
+    (path,) = tmp_path.glob("images-*.bin")
     timed = enumeration.ImageSet(reference.source, reference.images, miss.stats)
-    assert path.read_text() == cache_entry(timed) == cache_entry(miss)
+    assert path.read_bytes() == cache_entry(timed) == cache_entry(miss)
     assert hit == miss
 
 
 def file_reads(monkeypatch) -> list[Path]:
-    """The paths Path.read_text reads from now on, in order.  A missing
-    file, which a cache lookup tries to read and takes for a miss, is not
-    read and not listed."""
+    """The paths Path.read_bytes or Path.read_text reads from now on, in
+    order.  A missing file, which a cache lookup tries to read and takes
+    for a miss, is not read and not listed."""
     reads = []
-    read_text = Path.read_text
 
-    def read(path, *args, **kwargs):
-        text = read_text(path, *args, **kwargs)
-        reads.append(path)
-        return text
+    def listed(read):
+        def listing(path, *args, **kwargs):
+            data = read(path, *args, **kwargs)
+            reads.append(path)
+            return data
+        return listing
 
-    monkeypatch.setattr(Path, "read_text", read)
+    monkeypatch.setattr(Path, "read_bytes", listed(Path.read_bytes))
+    monkeypatch.setattr(Path, "read_text", listed(Path.read_text))
     return reads
 
 
 def test_cache_never_reads_an_older_format(tmp_path, monkeypatch):
-    # An intact entry of the previous format, codecat-images-3, under the
+    # An intact entry of the previous format, codecat-images-4, under the
     # name that format gave it, is neither read nor overwritten: the call
     # writes the new entry beside it and returns the uncached census.  That
-    # format spelled the source and each image as [n, *masks].
+    # format was a JSON object with image_set_to_obj's keys, the source as
+    # its index in the images and the images as the hex of their records,
+    # named by a hash of the version and the source's JSON spelling.
     reference = enumerate_reduced_images(C5)
-    key = "codecat-images-3\n" + format_code(reference.source.code, "json")
+    key = "codecat-images-4\n" + format_code(reference.source.code, "json")
     old = tmp_path / f"images-{hashlib.sha256(key.encode()).hexdigest()[:32]}.json"
     old_text = json.dumps(dict(image_set_to_obj(reference),
-                               source=[reference.source.code.n, *reference.source.code.masks],
-                               images=[[c.n, *c.masks] for c in reference.images]),
+                               source=reference.images.index(reference.source.code),
+                               images=cache_entry(reference)[28:].hex()),
                           separators=(",", ":"))
     old.write_text(old_text)
     reads = file_reads(monkeypatch)
@@ -525,7 +528,7 @@ def test_cache_never_reads_an_older_format(tmp_path, monkeypatch):
     assert [c.masks for c in out.images] == [c.masks for c in reference.images]
     assert old.read_text() == old_text
     (new,) = set(tmp_path.iterdir()) - {old}
-    assert new.read_text() == cache_entry(out)
+    assert new.read_bytes() == cache_entry(out)
 
 
 def test_cache_hits_read_back_seeded_censuses(tmp_path, monkeypatch):
@@ -546,7 +549,7 @@ def test_cache_hits_read_back_seeded_censuses(tmp_path, monkeypatch):
 
 def test_difference_uses_cache_dir(tmp_path):
     diff = image_set_difference(D5, [C5], cache_dir=tmp_path)
-    assert len(list(tmp_path.glob("images-*.json"))) == 2
+    assert len(list(tmp_path.glob("images-*.bin"))) == 2
     again = image_set_difference(D5, [C5], cache_dir=tmp_path)
     assert diff == again
 
@@ -595,7 +598,7 @@ def test_each_entry_is_read_at_most_once_per_call(tmp_path, monkeypatch):
     # Cold: the two misses write the CF and DF entries and read none, and
     # the later names of both classes take the census the call holds.
     assert image_set_difference(CF, names_twice, cache_dir=tmp_path) == want
-    entries = sorted(tmp_path.glob("images-*.json"))
+    entries = sorted(tmp_path.glob("images-*.bin"))
     assert (len(entries), reads) == (2, [])
     # Warm: each entry is read once, however often the call names its class.
     for _ in range(2):
@@ -608,17 +611,16 @@ def test_each_entry_is_read_at_most_once_per_call(tmp_path, monkeypatch):
 def test_difference_recovers_from_a_corrupt_entry(tmp_path, role):
     target, baselines = (C5, [D5]) if role == "target" else (D5, [C5])
     want = image_set_difference(target, baselines)
-    census = enumerate_reduced_images(C5)
+    intact = timeless(cache_entry(enumerate_reduced_images(C5)))
     cached_enumerate(C5, tmp_path)
-    (path,) = tmp_path.glob("images-*.json")
+    (path,) = tmp_path.glob("images-*.bin")
     image_set_difference(target, baselines, cache_dir=tmp_path)
     files = sorted(tmp_path.iterdir())
-    for entry in corrupted_entries(C5, json.loads(path.read_text())):
-        path.write_text(entry)
+    for entry in corrupted_entries(C5, path.read_bytes()):
+        path.write_bytes(entry)
         assert image_set_difference(target, baselines, cache_dir=tmp_path) == want
-        assert path.read_text() != entry  # recomputed and rewritten
-        rewritten = json.loads(path.read_text())
-        assert rewritten == dict(json.loads(cache_entry(census)), stats=rewritten["stats"])
+        assert path.read_bytes() != entry  # recomputed and rewritten
+        assert timeless(path.read_bytes()) == intact
         assert sorted(tmp_path.iterdir()) == files  # no temporary file left
 
 

@@ -1,3 +1,4 @@
+import enum
 import json
 import random
 
@@ -166,8 +167,15 @@ def test_permutation_morphism():
     assert f.apply({1, 2}) == {2, 3}
     assert is_morphism(f)
     assert len(f.image()) == len(C5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(1, 1, 2\) is not a permutation of 1..3"):
         permutation_morphism(C5, [1, 1, 2])
+    # Indices word_mask refuses are refused, not compared as equal ints or
+    # taken for neuron 1; an IntEnum is an int and is accepted.
+    for perm in [[1.0, 3, 2], [True, 3, 2], ["1", 3, 2], [None, 3, 2]]:
+        with pytest.raises(ValueError, match="neuron index must be a positive int"):
+            permutation_morphism(C5, perm)
+    labels = enum.IntEnum("Labels", ["ONE", "TWO", "THREE"])
+    assert permutation_morphism(C5, [labels.TWO, labels.THREE, labels.ONE]) == f
 
 
 def test_morphism_json_roundtrip():

@@ -93,10 +93,18 @@ def test_patching_and_restoring_a_name_keeps_the_original():
     """)
 
 
+# Standard-library modules only a cache lookup needs: hashlib for file
+# names, and tempfile, with the random it loads, for a miss's write.  (It
+# loads shutil too, but argparse loads that for every command.)  The
+# interpreter may have loaded them at start-up, as a site hook may, so they
+# are dropped first and any that come back were loaded again.
+CACHE_ONLY = ("hashlib", "tempfile", "random")
+
 FOOTPRINT = """
     import io, json, sys
     from contextlib import redirect_stdout
-    hashlib_before = "hashlib" in sys.modules
+    for name in {cache_only!r}:
+        sys.modules.pop(name, None)
     import codecat
     loaded = {{"import": sorted(m for m in sys.modules if m.startswith("codecat."))}}
     from codecat import cli
@@ -104,7 +112,7 @@ FOOTPRINT = """
         rc = cli.main({argv!r})
     loaded["command"] = sorted(m[len("codecat."):] for m in sys.modules
                                if m.startswith("codecat."))
-    loaded["hashlib"] = not hashlib_before and "hashlib" in sys.modules
+    loaded["cache_only"] = [name for name in {cache_only!r} if name in sys.modules]
     print(json.dumps([rc, loaded]))
 """
 
@@ -117,13 +125,14 @@ C0 = "{3456,123,145,256,45,56,1,2,3,0}"
     (["local-obs", C0], {"topology"}, {"enumeration", "reduction", "morphisms", "neural_ring"}),
     (["member", C0, C0], {"enumeration"}, {"topology", "neural_ring", "constructions"}),
     (["images", "--no-cache", C0], {"enumeration"}, {"topology", "neural_ring", "constructions"}),
-], ids=["parse", "iso", "local-obs", "member", "images"])
+    (["diff-images", "--no-cache", C0, C0], {"enumeration"},
+     {"topology", "neural_ring", "constructions"}),
+], ids=["parse", "iso", "local-obs", "member", "images", "diff-images"])
 def test_import_and_each_command_load_only_what_they_use(argv, needs, never):
-    # never=None: the command loads exactly what it needs.  Only cache file
-    # names use hashlib, so no command here loads it (unless the interpreter
-    # had it before codecat was imported)
-    rc, loaded = json.loads(run_fresh(FOOTPRINT.format(argv=argv)))
-    assert rc == 0 and loaded["import"] == [] and not loaded["hashlib"]
+    # never=None: the command loads exactly what it needs.  No command here
+    # looks up the cache, so none loads a module of CACHE_ONLY.
+    rc, loaded = json.loads(run_fresh(FOOTPRINT.format(argv=argv, cache_only=CACHE_ONLY)))
+    assert rc == 0 and loaded["import"] == [] and loaded["cache_only"] == []
     assert needs <= set(loaded["command"])
     if never is None:
         assert set(loaded["command"]) == needs

@@ -1,3 +1,4 @@
+import enum
 import random
 
 import pytest
@@ -24,11 +25,35 @@ def random_elements(rng, code, count):
         yield RingElement(code, frozenset(rng.sample(words, k)))
 
 
+class Neuron(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+    FOUR = 4
+
+
 def test_coordinate_supports():
     assert coordinate(C5, 2).support == {0b011, 0b110}
     assert coordinate(C5, 1).support == {0b011, 0b001}
-    with pytest.raises(ValueError):
-        coordinate(C5, 4)
+    assert coordinate(C5, Neuron.TWO) == coordinate(C5, 2)
+    for i in [4, 0, -1, Neuron.FOUR]:
+        with pytest.raises(ValueError, match=f"neuron index {int(i)} out of range 1..3"):
+            coordinate(C5, i)
+    # Refused as word_mask refuses them, not taken for neuron 1 or a TypeError.
+    for i in [1.0, True, "1", None]:
+        with pytest.raises(ValueError, match="neuron index must be a positive int"):
+            coordinate(C5, i)
+
+
+def test_coordinate_image_refuses_what_coordinate_refuses():
+    phi = morphism_to_monomial_map(four_trunk_morphism())
+    assert phi.from_code.n == 4
+    assert phi.coordinate_image(Neuron.FOUR) == phi.coordinate_image(4)
+    for j in [0, 5]:
+        with pytest.raises(ValueError, match=f"coordinate index {j} out of range"):
+            phi.coordinate_image(j)
+    for j in [1.0, True, "1", None]:
+        with pytest.raises(ValueError, match="neuron index must be a positive int"):
+            phi.coordinate_image(j)
 
 
 def test_indicator():
