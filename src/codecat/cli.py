@@ -127,7 +127,7 @@ def _cmd_trunks(args) -> int:
         t = trunk_of(code, _parse_word(args.sigma))
         print(json.dumps(trunk_to_obj(t)) if args.json else _fmt_masks(t.member_masks))
         return 0
-    _print_trunks(all_trunks(code, _max_trunks(args)), args.json)
+    _print_trunks(all_trunks(code, _cap(args.max_trunks)), args.json)
     return 0
 
 
@@ -159,8 +159,7 @@ def _cmd_minn(args) -> int:
 def _cmd_iso(args) -> int:
     from .reduction import canonical_form
     a, b = parse_code(args.code1), parse_code(args.code2)
-    cap = None if args.max_search_nodes <= 0 else args.max_search_nodes
-    left, right = canonical_form(a, cap).code, canonical_form(b, cap).code
+    left, right = [canonical_form(c, _cap(args.max_search_nodes)).code for c in (a, b)]
     same = left == right
     if args.json:
         print(json.dumps({
@@ -228,17 +227,18 @@ def _cmd_maxint(args) -> int:
                         args.json, "max_intersection_complete")
 
 
-def _max_trunks(args) -> int | None:
-    return None if args.max_trunks <= 0 else args.max_trunks
+def _cap(value: int) -> int | None:
+    """A --max-trunks or --max-search-nodes value: 0 or less means no cap."""
+    return None if value <= 0 else value
 
 
 def _cache_dir(args) -> Path | None:
-    from .enumeration import default_cache_dir
     if args.no_cache:
         return None
-    if args.cache is not None:
-        return default_cache_dir() if args.cache == "" else Path(args.cache)
-    if os.environ.get("CODECAT_CACHE_DIR"):
+    if args.cache:
+        return Path(args.cache)
+    if args.cache == "" or os.environ.get("CODECAT_CACHE_DIR"):
+        from .enumeration import default_cache_dir
         return default_cache_dir()
     return None
 
@@ -246,7 +246,7 @@ def _cache_dir(args) -> Path | None:
 def _cmd_images(args) -> int:
     from .enumeration import cached_enumerate, enumerate_reduced_images, image_set_to_obj
     code = parse_code(args.code)
-    cache_dir, cap = _cache_dir(args), _max_trunks(args)
+    cache_dir, cap = _cache_dir(args), _cap(args.max_trunks)
     out = (enumerate_reduced_images(code, max_trunks=cap) if cache_dir is None
            else cached_enumerate(code, cache_dir, max_trunks=cap))
     if args.json:
@@ -265,7 +265,7 @@ def _cmd_diff_images(args) -> int:
     from .enumeration import image_set_difference
     target = parse_code(args.target)
     baselines = [parse_code(t) for t in args.baseline]
-    diff = image_set_difference(target, baselines, max_trunks=_max_trunks(args),
+    diff = image_set_difference(target, baselines, max_trunks=_cap(args.max_trunks),
                                 cache_dir=_cache_dir(args))
     if args.json:
         print(json.dumps({"target": code_to_obj(target),
@@ -283,7 +283,7 @@ def _cmd_member(args) -> int:
     from .enumeration import verify_image_membership
     witness = verify_image_membership(parse_code(args.source),
                                       parse_code(args.target),
-                                      max_trunks=_max_trunks(args))
+                                      max_trunks=_cap(args.max_trunks))
     if witness is None:
         print("null" if args.json else "none")
         return 1

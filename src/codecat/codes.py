@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 
 MAX_NEURONS = 64
 
@@ -99,6 +99,11 @@ def _word_key(mask: int) -> tuple[int, tuple[int, ...]]:
 def _display_key(mask: int) -> tuple[int, tuple[int, ...]]:
     # Display order: largest codewords first, lexicographic within a size.
     return (-mask.bit_count(), mask_members(mask))
+
+
+def _maximal(masks: Collection[int]) -> list[int]:
+    """The masks that lie inside no other of masks."""
+    return [m for m in masks if not any(o != m and o & m == m for o in masks)]
 
 
 class Code:

@@ -8,9 +8,10 @@ empty word.
 
 from __future__ import annotations
 
-from .codes import Code
-# Not called here; perfbench/spans.py wraps this name in this module.
-from .trunks import _trunk_family_masksets  # noqa: F401
+from .codes import Code, _maximal
+from .exceptions import ResourceCapError
+# _trunk_family_masksets is not called here; perfbench/spans.py wraps it here.
+from .trunks import _intersection_closure, _trunk_family_masksets  # noqa: F401
 
 
 def product(a: Code, b: Code) -> Code:
@@ -60,16 +61,10 @@ def all_trunks_have_unique_minimum(code: Code) -> bool:
 def is_max_intersection_complete(code: Code) -> bool:
     """Contains every intersection of a nonempty set of maximal codewords.
 
-    The maximal words are closed in one at a time, and the first
-    intersection that is not a codeword answers no, so the closure never
-    holds more than the code's words."""
-    masks = code.mask_set
-    maximal = [m for m in masks if not any(o != m and o & m == m for o in masks)]
-    closed: set[int] = set()
-    for w in maximal:
-        met = {g & w for g in closed}
-        if not met <= masks:
-            return False
-        closed |= met
-        closed.add(w)
-    return True
+    The maximal words' intersection closure is capped at |C| + 1 members,
+    the empty set counted, which a closure inside the code never exceeds:
+    one that does answers no before it grows any further."""
+    try:
+        return _intersection_closure(_maximal(code.mask_set), len(code) + 1) <= code.mask_set
+    except ResourceCapError:
+        return False

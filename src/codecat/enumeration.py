@@ -97,6 +97,12 @@ class EnumerationStats:
     pruned: int     # rejected subset extensions
     wall_time: float
 
+    def __post_init__(self):
+        if not (all(type(v) is int and v >= 0 for v in (self.explored, self.pruned))
+                and type(self.wall_time) in (int, float) and 0 <= self.wall_time < math.inf):
+            raise ValueError("enumeration stats must be two counts and a finite "
+                             f"time, none negative, got {self!r}")
+
 
 @dataclass(frozen=True)
 class ImageSet:
@@ -442,20 +448,22 @@ def image_set_to_obj(s: ImageSet) -> dict:
 
 
 def image_set_from_obj(obj: dict) -> ImageSet:
-    """The ImageSet obj spells as image_set_to_obj does; ValueError, KeyError
-    or TypeError for a malformed one."""
+    """The ImageSet obj spells as image_set_to_obj does; ValueError for a
+    malformed one."""
+    if not isinstance(obj, dict) or set(obj) != {"source", "source_witness", "images", "stats"}:
+        raise ValueError('image set JSON needs exactly the keys "source", "source_witness", '
+                         '"images" and "stats"')
     st = obj["stats"]
-    stats = EnumerationStats(st["explored"], st["pruned"], st["wall_time"])
-    wall = stats.wall_time
-    if not (all(type(v) is int and v >= 0 for v in (stats.explored, stats.pruned))
-            and type(wall) in (int, float) and 0 <= wall < math.inf):
-        raise ValueError("enumeration stats must be two counts and a finite "
-                         f"time, none negative, got {st!r}")
+    if not isinstance(st, dict) or set(st) != {"explored", "pruned", "wall_time"}:
+        raise ValueError('"stats" needs exactly the keys "explored", "pruned" and "wall_time"')
+    stats = EnumerationStats(**st)
     code, *images = [parse_code(o) for o in [obj["source"],
                                              *_json_list(obj["images"], '"images"')]]
     witness = _json_list(obj["source_witness"], '"source_witness"')
     if not all(type(i) is int for i in witness) or sorted(witness) != list(range(1, code.n + 1)):
         raise ValueError(f'"source_witness" must be a permutation of 1..{code.n}')
+    if code not in images:
+        raise ValueError('"images" must contain "source"')
     return ImageSet(CanonicalForm(code, tuple(witness)), tuple(images), stats)
 
 
@@ -491,12 +499,11 @@ def _entry_records(data: bytes, source: bytes) -> tuple[list[bytes], Enumeration
 
     Each record is checked as Code checks its words and as _record writes
     them: it fits in the entry, n is in 0..MAX_NEURONS and the masks are
-    strictly ascending, the last below 2**n.  The wall time must be finite
-    and not negative, and the source index must name source.  Anything else
-    raises ValueError, or struct.error for an entry shorter than its head."""
+    strictly ascending, the last below 2**n.  EnumerationStats checks the
+    stats, and the source index must name source.  Anything else raises
+    ValueError, or struct.error for an entry shorter than its head."""
     explored, pruned, wall, k = _ENTRY_HEAD.unpack_from(data)
-    if not 0 <= wall < math.inf:
-        raise ValueError(f"a cache entry's wall time must be finite, not negative, got {wall}")
+    stats = EnumerationStats(explored, pruned, wall)
     records, head = [], _RECORD_HEAD.unpack_from
     # The one-byte masks of every record, each record's run of them without
     # its last (lows) and without its first (highs): they ascend strictly
@@ -531,7 +538,7 @@ def _entry_records(data: bytes, source: bytes) -> tuple[list[bytes], Enumeration
         raise ValueError("a cached code's masks must be strictly ascending")
     if k >= len(records) or records[k] != source:
         raise ValueError("a cache entry's source index must name its source's record")
-    return records, EnumerationStats(explored, pruned, wall)
+    return records, stats
 
 
 def cached_enumerate(code: Code, cache_dir: Path | str, *, jobs: int = 1,

@@ -95,8 +95,12 @@ class MonomialMap:
     assignment: tuple[frozenset[int] | None, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "assignment", tuple(
-            None if s is None else frozenset(s) for s in self.assignment))
+        try:
+            object.__setattr__(self, "assignment", tuple(
+                None if s is None else frozenset(s) for s in self.assignment))
+        except TypeError:  # no iterable, or an entry that is none or holds unhashables
+            raise ValueError("assignment entries must be None or neuron index sets, "
+                             f"got {self.assignment!r}") from None
         if len(self.assignment) != self.from_code.n:
             raise ValueError("one assignment per from-side coordinate required")
         for s in self.assignment:
@@ -149,13 +153,7 @@ def morphism_to_monomial_map(f: Morphism, codomain: Code | None = None) -> Monom
     else:
         if codomain.n != f.m or not img.mask_set <= codomain.mask_set:
             raise ValueError("codomain must contain the image on the same neurons")
-    assignment: list[frozenset[int] | None] = []
-    for t in f.trunks:
-        if not t.member_masks:
-            assignment.append(None)
-        else:
-            assignment.append(t.generator)
-    return MonomialMap(codomain, f.domain, tuple(assignment))
+    return MonomialMap(codomain, f.domain, tuple(t.generator for t in f.trunks))
 
 
 def monomial_map_to_morphism(phi: MonomialMap) -> Morphism:
@@ -190,20 +188,8 @@ def compose_monomial_maps(second: MonomialMap, first: MonomialMap) -> MonomialMa
     target = second.to_code
     assignment: list[frozenset[int] | None] = []
     for s in first.assignment:
-        if s is None:
-            assignment.append(None)
-            continue
-        union: set[int] = set()
-        dead = False
-        for j in s:
-            sj = second.assignment[j - 1]
-            if sj is None:
-                dead = True
-                break
-            union |= sj
-        if dead:
-            assignment.append(None)
-            continue
-        t = trunk_of(target, union)
-        assignment.append(None if not t.member_masks else t.generator)
+        parts = [None] if s is None else [second.assignment[j - 1] for j in s]
+        # a zero factor makes the product zero
+        assignment.append(None if None in parts
+                          else trunk_of(target, frozenset().union(*parts)).generator)
     return MonomialMap(first.from_code, target, tuple(assignment))

@@ -247,10 +247,10 @@ def _min_relabeling(masks: Collection[int], n: int,
                 return v > b
         return False
 
-    def rec(q: int, sig: list[int], fixed: int):
+    def rec(q: int, fixed: int):
         nonlocal best_key, best_perm, left
         if left is not None:
-            if not left:
+            if left <= 0:
                 _refuse(max_nodes)
             left -= 1
         if q == n - 1:
@@ -314,15 +314,15 @@ def _min_relabeling(masks: Collection[int], n: int,
             held = holders[o]
             for w in held:
                 keys[w] ^= bit
-            rec(q + 1, sig, fixed | 1 << o)
+            rec(q + 1, fixed | 1 << o)
             for w in held:
                 keys[w] ^= bit
             label[o] = 0
 
     if n:
-        rec(0, sorted(keys), 0)
+        rec(0, 0)
     else:  # the root is the only leaf
-        if max_nodes == 0:
+        if max_nodes is not None and max_nodes <= 0:
             _refuse(max_nodes)
         best_key = sorted(keys)
     return _bit_reversals([full & ~k for k in best_key], n), best_perm
@@ -331,11 +331,9 @@ def _min_relabeling(masks: Collection[int], n: int,
 def canonical_form(code: Code, max_nodes: int | None = DEFAULT_MAX_NODES) -> CanonicalForm:
     """Reduce, then permutation-minimize under the fixed total order.
     Refuses with ResourceCapError once the search for the least relabeling
-    would visit more than max_nodes nodes, and at once for a negative
-    max_nodes; None removes the cap."""
+    would visit more than max_nodes nodes, so at its root for a max_nodes
+    below 1; None removes the cap."""
     _check_cap(max_nodes, "max_nodes")
-    if max_nodes is not None and max_nodes < 0:
-        _refuse(max_nodes)
     # reduce_code(code).reduced, without the Morphism and origins it also
     # builds: a code with n irreducible trunks is reduced, its own reduction.
     trunks = [t for _, t in _irreducible_index_masks(code)]

@@ -25,9 +25,9 @@ hence contractible, so its homology needs no boundary rank.  A link with one
 nonempty facet is a simplex, and its entry is built from that facet alone,
 without homology, a collapse search or a face list.  A complex lists its
 faces once and keeps them, so a link's homology and its collapse search
-share one list.  A cone link collapses to its apex, and one with F faces
-where 2**F is within the cap is recorded collapsible without the search,
-which visits at most 2**F states and so could not refuse it.  A downward-
+share one list.  A cone collapses to its apex, and is_collapsible answers
+one with F faces where 2**F is within the cap without the search, which
+visits at most 2**F states and so could not refuse it.  A downward-
 closed state on j vertices is a simplex only with 2**j faces, so a state
 whose face count is not a power of two is no simplex, found without looking
 for its top face.
@@ -39,7 +39,7 @@ from bisect import insort
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .codes import Code, _display_key, _word_key, mask_members, word_mask
+from .codes import Code, _display_key, _maximal, _word_key, mask_members, word_mask
 from .exceptions import DEFAULT_FACE_CAP, ResourceCapError, _check_cap
 from .trunks import _intersect_all
 
@@ -58,13 +58,15 @@ class SimplicialComplex:
 
     def __post_init__(self):
         _check_vertex_count(self.n)
+        if not isinstance(self.facets, frozenset):
+            raise ValueError(f"facets must be a frozenset of int masks on 1..{self.n}")
+        for f in self.facets:  # masks as word_mask takes them, so no bool
+            if type(f) is not int or f < 0 or f >> self.n:
+                raise ValueError(f"facets must be a frozenset of int masks on 1..{self.n}")
 
     @classmethod
     def from_masks(cls, n: int, face_masks: Iterable[int]) -> "SimplicialComplex":
-        faces = set(face_masks)
-        maximal = {f for f in faces
-                   if not any(o != f and o & f == f for o in faces)}
-        return cls(n, frozenset(maximal))
+        return cls(n, frozenset(_maximal(set(face_masks))))
 
     @classmethod
     def from_faces(cls, n: int, faces: Iterable[Iterable[int]]) -> "SimplicialComplex":
@@ -262,17 +264,21 @@ def is_collapsible(k: SimplicialComplex, cap: int | None = DEFAULT_FACE_CAP) -> 
     """Can free-face removals shrink the complex to a single vertex?
 
     Exhaustive backtracking over collapse orders (greedy collapsing can dead
-    end), memoized on the intermediate face sets.  A collapse removes one
-    face of odd and one of even size, so it keeps the Euler characteristic
-    of the nonempty faces, and a point has 1: a complex whose faces, the
-    empty one included, are not half of odd size is answered False without
-    the search.  The cap bounds both the face count and the number of
-    search states visited; None removes it.
+    end), memoized on the intermediate face sets.  A cone with F faces and
+    2**F within the cap is answered True without the search: it collapses
+    to its apex, and the search visits at most 2**F states.  A collapse
+    removes one face of odd and one of even size, so it keeps the Euler
+    characteristic of the nonempty faces, and a point has 1: a complex whose
+    faces, the empty one included, are not half of odd size is answered
+    False without the search.  The cap bounds both the face count and the
+    number of search states visited; None removes it.
     """
     _check_cap(cap, "face cap")
     if not k.facets:
         return False
     faces = k.face_masks(cap)
+    if _intersect_all(k.facets) and (cap is None or len(faces) < cap.bit_length()):
+        return True
     if 2 * sum(f.bit_count() & 1 for f in faces) != len(faces):
         return False
     return _collapses_to_point(faces, {}, [float("inf") if cap is None else cap])
@@ -390,11 +396,7 @@ def local_obstruction_report(code: Code,
             coll, verdict = False, "obstruction_first_kind"
         else:
             try:
-                # A cone collapses to its apex, and with 2**F <= cap the
-                # search, at most 2**F states, could not have refused.
-                coll = ((_intersect_all(facets)
-                         and (cap is None or 1 << len(lk.face_masks(cap)) <= cap))
-                        or is_collapsible(lk, cap))
+                coll = is_collapsible(lk, cap)
             except ResourceCapError:
                 coll = None
             verdict = {True: "no_obstruction", None: "contractibility_unknown",

@@ -108,10 +108,7 @@ def trunk_to_obj(trunk: Trunk) -> dict:
 def trunk_of(code: Code, sigma: Iterable[int]) -> Trunk:
     """Tk_C(sigma): all codewords containing sigma.  sigma must fit in 1..n."""
     smask = word_mask(sigma, code.n)
-    members = frozenset(m for m in code.mask_set if m & smask == smask)
-    if not members:
-        return Trunk(frozenset())
-    return Trunk(members)
+    return Trunk(frozenset(m for m in code.mask_set if m & smask == smask))
 
 
 def simple_trunks(code: Code) -> list[tuple[int, Trunk]]:

@@ -1,6 +1,7 @@
 """Shared generators for the property tests.  Everything is seeded so
 failures replay exactly."""
 
+import functools
 import itertools
 import math
 import os
@@ -202,6 +203,16 @@ def intersection_closure(code: Code) -> Code:
                 masks.add(a & b)
                 frontier = True
     return Code(code.n, masks)
+
+
+def maximal_word_meets_by_subsets(code: Code) -> set[int]:
+    """The intersection of every nonempty subset of the code's maximal
+    words.  is_max_intersection_complete(code) must be whether they are all
+    words; this reference lists all 2**k - 1 subsets of the k maximal words."""
+    masks = code.mask_set
+    maximal = [m for m in masks if not any(o != m and o & m == m for o in masks)]
+    return {functools.reduce(int.__and__, sub) for r in range(1, len(maximal) + 1)
+            for sub in itertools.combinations(maximal, r)}
 
 
 def all_nonempty_codes(n: int, max_words: int):

@@ -10,6 +10,7 @@ from codecat import (Code, ResourceCapError, all_trunks, cached_enumerate, canon
                      is_collapsible, is_isomorphic, local_obstruction_report, parse_code,
                      simplicial_complex, verify_image_membership)
 from codecat.cli import main
+from codecat.reduction import _min_relabeling
 
 from helpers import hollow_triangles
 
@@ -79,6 +80,9 @@ def test_a_negative_max_nodes_refuses_before_any_search():
         with pytest.raises(ResourceCapError, match="its cap of -1 nodes"):
             canonical_form(code, max_nodes=-1)
     assert canonical_form(Code(0, [[]]), max_nodes=1).code == Code(0, [[]])
+    # the labelling search itself, on neurons to label, refuses at its root
+    with pytest.raises(ResourceCapError, match="its cap of -1 nodes"):
+        _min_relabeling([0b11, 0b110, 0b101], 3, -1)
 
 
 def run(capsys, *argv):

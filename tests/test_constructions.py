@@ -8,7 +8,7 @@ from codecat import (Code, ExplicitMap, all_trunks,
                      is_intersection_complete, is_max_intersection_complete,
                      is_morphism, parse_code, product)
 
-from helpers import intersection_closure, random_codes
+from helpers import intersection_closure, maximal_word_meets_by_subsets, random_codes
 
 
 def test_product_golden():
@@ -112,6 +112,24 @@ def test_max_intersection_complete_stops_at_the_first_miss():
     start = time.perf_counter()
     assert not is_max_intersection_complete(cosingletons)
     assert time.perf_counter() - start < 0.1
+
+
+def test_max_intersection_complete_matches_every_subset():
+    # a "no" comes either from a closure that outgrows the cap of |C| + 1
+    # members, the empty set counted, or from one within it that leaves the
+    # code; both kinds must occur
+    kinds = {"yes": 0, "over the cap": 0, "leaves the code": 0}
+    for code in random_codes(300, 47, n=6, max_words=10):
+        meets = maximal_word_meets_by_subsets(code)
+        complete = meets <= code.mask_set
+        assert is_max_intersection_complete(code) == complete
+        if complete:
+            kinds["yes"] += 1
+        elif len(meets) + (0 not in meets) > len(code) + 1:
+            kinds["over the cap"] += 1
+        else:
+            kinds["leaves the code"] += 1
+    assert min(kinds.values()) >= 10, kinds
 
 
 def test_intersection_complete_implies_max_complete():

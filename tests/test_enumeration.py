@@ -199,13 +199,36 @@ def test_image_set_json_roundtrip():
     assert again.stats == out.stats
 
 
+# Documents whose witness is sound but which are malformed elsewhere, each
+# as (spoil, the refusal it gives): spoil turns a sound document into it.
+BAD_IMAGE_SET_DOCUMENTS = [
+    (lambda obj: {}, "exactly the keys"),
+    (lambda obj: [obj], "exactly the keys"),
+    (lambda obj: {k: v for k, v in obj.items() if k != "stats"}, "exactly the keys"),
+    (lambda obj: dict(obj, extra=1), "exactly the keys"),
+    (lambda obj: dict(obj, stats=[1]), '"stats" needs'),
+    (lambda obj: dict(obj, stats={"explored": 1, "pruned": 0}), '"stats" needs'),
+    (lambda obj: dict(obj, stats=dict(obj["stats"], extra=0)), '"stats" needs'),
+    (lambda obj: dict(obj, stats=dict(obj["stats"], pruned=-1)), "enumeration stats must"),
+    (lambda obj: dict(obj, stats=dict(obj["stats"], explored=True)), "enumeration stats must"),
+    (lambda obj: dict(obj, stats=dict(obj["stats"], wall_time=math.inf)),
+     "enumeration stats must"),
+    (lambda obj: dict(obj, images=[o for o in obj["images"] if o != obj["source"]]),
+     '"images" must contain "source"'),
+]
+
+
 @pytest.mark.parametrize("witness", ["abc", [9, 9, 9], [1, 1, 2], [True, 2, 3],
-                                     [1.0, 2, 3], [1, 2], [1, 2, 3, 4]])
+                                     [1.0, 2, 3], [1, 2], [1, 2, 3, 4],
+                                     *BAD_IMAGE_SET_DOCUMENTS])
 def test_image_set_from_obj_rejects_a_bad_witness(witness):
     obj = image_set_to_obj(enumerate_reduced_images(C5))
     assert sorted(obj["source_witness"]) == [1, 2, 3]
-    with pytest.raises(ValueError, match="source_witness"):
-        image_set_from_obj(dict(obj, source_witness=witness))
+    assert image_set_from_obj(obj).source.code == canonical_form(C5).code
+    spoil, match = (witness if isinstance(witness, tuple)
+                    else (lambda obj: dict(obj, source_witness=witness), "source_witness"))
+    with pytest.raises(ValueError, match=match):
+        image_set_from_obj(spoil(obj))
 
 
 def test_cache_roundtrip(tmp_path):

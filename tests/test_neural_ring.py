@@ -113,6 +113,9 @@ def test_monomial_map_validates_exponents():
                     (frozenset({2, 4}),))
     with pytest.raises(ValueError):  # arity mismatch
         MonomialMap(Code(2, [[1], [2]]), C5, (frozenset({1}),))
+    for entry in ("1", 5):  # neither is a set of neuron indices
+        with pytest.raises(ValueError):
+            MonomialMap(C5, C5, (None, None, entry))
 
 
 def test_morphism_to_monomial_map_golden():

@@ -10,7 +10,7 @@ import pytest
 from codecat import (Code, ResourceCapError, parse_code,
                      local_obstruction_report, simplicial_complex, topology)
 from codecat.cli import main
-from codecat.codes import word_mask
+from codecat.codes import _maximal, word_mask
 from codecat.topology import (SimplicialComplex, f2_reduced_homology,
                               is_collapsible, link)
 
@@ -140,6 +140,16 @@ def test_vertex_count_must_be_a_non_negative_int(n):
                   lambda: SimplicialComplex(n, frozenset())):
         with pytest.raises(ValueError, match="vertex count must be a non-negative int"):
             build()
+
+
+@pytest.mark.parametrize("facets", [frozenset({0b100}), frozenset({-1}), frozenset({True}),
+                                    frozenset({(1, 2)}), frozenset({1.0}), [0b11], {0b11}])
+def test_facets_must_be_a_frozenset_of_masks_on_the_vertices(facets):
+    # a bit beyond n, a negative mask, a bool, a word that is no mask, and
+    # facets that are not a frozenset (a list of them cannot be hashed)
+    with pytest.raises(ValueError):
+        SimplicialComplex(2, facets)
+    assert SimplicialComplex(2, frozenset({0b11})).facet_words == (frozenset({1, 2}),)
 
 
 def test_vertex_count_is_not_capped():
@@ -531,17 +541,17 @@ def test_faces_are_listed_once_and_every_call_keeps_its_cap():
 
 
 def searched_links(monkeypatch, code, cap):
-    """The report of code under cap, and the facets of every link it sent
-    to topology.is_collapsible."""
+    """The report of code under cap, and the facets of every link whose
+    collapse search, topology._collapses_to_point, it ran."""
     searched = []
-    real = topology.is_collapsible
+    real = topology._collapses_to_point
 
-    def recording(lk, cap=topology.DEFAULT_FACE_CAP):
-        searched.append(lk.facets)
-        return real(lk, cap)
+    def recording(faces, memo, budget):
+        searched.append(frozenset(_maximal(faces)))
+        return real(faces, memo, budget)
 
     with monkeypatch.context() as m:
-        m.setattr(topology, "is_collapsible", recording)
+        m.setattr(topology, "_collapses_to_point", recording)
         return local_obstruction_report(code, cap), searched
 
 
